@@ -25,7 +25,6 @@
 #include "tensor/init.h"
 #include "tensor/kernel_context.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "tensor/simd/simd.h"
 #include "tensor/sparse.h"
 #include "util/random.h"
@@ -71,24 +70,6 @@ void BM_MatMulScalar(benchmark::State& state) {
   T::simd::ForceIsa(previous);
 }
 BENCHMARK(BM_MatMulScalar)->ArgsProduct({{64, 256}, {1}});
-
-// Inference MatMul against a block-quantized B sidecar (the serving weight
-// path): arg 0 is the square size, arg 1 selects int8 (0) or fp16 (1).
-void BM_MatMulQuant(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const T::QuantFormat format = state.range(1) == 0
-                                    ? T::QuantFormat::kInt8Block32
-                                    : T::QuantFormat::kFp16;
-  Rng rng(1);
-  T::Tensor a = RandomTensor(n, n, false, rng);
-  T::Tensor b = RandomTensor(n, n, false, rng);
-  T::AttachQuant(b, T::QuantizeMatrix(b, format));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(T::MatMul(a, b).data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_MatMulQuant)->ArgsProduct({{64, 256}, {0, 1}});
 
 // Forward + full backward (dA and dB) of one square MatMul — roughly 2/3 of
 // an epoch's dense-kernel time lives in the backward accumulations.

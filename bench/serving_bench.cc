@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -26,7 +25,6 @@
 #include "core/widen_model.h"
 #include "datasets/synthetic.h"
 #include "serve/inference_session.h"
-#include "tensor/quant.h"
 #include "tensor/simd/simd.h"
 #include "util/timer.h"
 
@@ -83,30 +81,15 @@ void Sweep(serve::InferenceSession& session, int64_t batch_size,
   }
 }
 
-// One quantized-weights serving mode measured against the exact fp32
-// session: cold-encode throughput plus the accuracy gap it buys.
-struct QuantResult {
-  std::string mode;           // "int8" | "fp16"
-  PhaseResult cold;
-  double cold_speedup = 0.0;  // quant cold nodes/s over exact cold nodes/s
-  double parity_max_abs = 0.0;
-  double cosine_min = 1.0;
-  double predict_agreement = 1.0;
-};
-
 void WriteJson(const std::string& path, int64_t num_nodes,
                const core::WidenConfig& config,
                const std::vector<std::pair<int64_t, std::vector<PhaseResult>>>&
-                   by_batch,
-               int64_t quant_nodes, int64_t quant_dim,
-               const std::vector<QuantResult>& quant_results) {
+                   by_batch) {
   bench::BenchReport report("serving", bench::FullMode());
   report.SetConfig("nodes", static_cast<double>(num_nodes));
   report.SetConfig("embedding_dim", static_cast<double>(config.embedding_dim));
   report.SetConfig("simd_isa",
                    tensor::simd::IsaName(tensor::simd::ActiveIsa()));
-  report.SetConfig("quant_nodes", static_cast<double>(quant_nodes));
-  report.SetConfig("quant_embedding_dim", static_cast<double>(quant_dim));
   for (const auto& [batch_size, phases] : by_batch) {
     for (const PhaseResult& r : phases) {
       const std::string prefix =
@@ -119,118 +102,7 @@ void WriteJson(const std::string& path, int64_t num_nodes,
                        "higher");
     }
   }
-  for (const QuantResult& q : quant_results) {
-    const std::string prefix = "quant_" + q.mode + "_";
-    report.AddMetric(prefix + "cold_p50_us", q.cold.p50_us, "us", "lower");
-    report.AddMetric(prefix + "cold_nodes_per_sec", q.cold.nodes_per_sec,
-                     "nodes/s", "higher");
-    report.AddMetric(prefix + "cold_speedup", q.cold_speedup, "x", "higher");
-    report.AddMetric(prefix + "parity_max_abs", q.parity_max_abs, "abs",
-                     "lower");
-    report.AddMetric(prefix + "cosine_min", q.cosine_min, "cos", "higher");
-    report.AddMetric(prefix + "predict_agreement", q.predict_agreement,
-                     "frac", "higher");
-  }
   WIDEN_CHECK_OK(report.Write(path));
-}
-
-// ---- Quantized-weights serving study ----------------------------------------
-//
-// Runs on its own, larger model (embedding_dim 64): at the latency bench's
-// d=16 the dense kernels are a sliver of an encode, so weight compression
-// could not show up. d=64 is where the paper-scale serving deployments sit
-// and where the fused dequant-dot path pays.
-
-std::vector<graph::NodeId> AllNodes(const serve::InferenceSession& session) {
-  std::vector<graph::NodeId> nodes;
-  for (graph::NodeId v = 0;
-       v < static_cast<graph::NodeId>(session.num_nodes()); ++v) {
-    nodes.push_back(v);
-  }
-  return nodes;
-}
-
-std::vector<QuantResult> RunQuantStudy(const graph::HeteroGraph& graph,
-                                       const core::WidenConfig& config,
-                                       const std::string& ckpt,
-                                       int64_t batch_size) {
-  using Clock = std::chrono::steady_clock;
-  struct ModeRun {
-    tensor::Tensor embeddings;
-    std::vector<int32_t> predictions;
-    PhaseResult cold;
-  };
-  auto run_mode = [&](tensor::QuantFormat format) {
-    serve::SessionOptions options;
-    options.store_capacity = graph.num_nodes();
-    options.weight_quant = format;
-    auto session_or =
-        serve::InferenceSession::Load(ckpt, &graph, config, options);
-    WIDEN_CHECK(session_or.ok()) << session_or.status().ToString();
-    serve::InferenceSession& session = **session_or;
-    DurationStats cold;
-    const Clock::time_point t0 = Clock::now();
-    Sweep(session, batch_size, cold);
-    const double cold_s =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    ModeRun run;
-    run.cold = Summarize("cold", cold, batch_size, cold_s);
-    const std::vector<graph::NodeId> nodes = AllNodes(session);
-    auto embeddings = session.Embed(nodes);  // warm: the swept rows
-    WIDEN_CHECK(embeddings.ok()) << embeddings.status().ToString();
-    run.embeddings = *embeddings;
-    auto predictions = session.Predict(nodes);
-    WIDEN_CHECK(predictions.ok()) << predictions.status().ToString();
-    run.predictions = *predictions;
-    return run;
-  };
-
-  const ModeRun exact = run_mode(tensor::QuantFormat::kNone);
-  std::printf("quant=none cold p50 %9.1f us  %8.0f nodes/s (exact baseline)\n",
-              exact.cold.p50_us, exact.cold.nodes_per_sec);
-  std::vector<QuantResult> results;
-  for (const tensor::QuantFormat format :
-       {tensor::QuantFormat::kInt8Block32, tensor::QuantFormat::kFp16}) {
-    const ModeRun quant = run_mode(format);
-    QuantResult r;
-    r.mode = tensor::QuantFormatName(format);
-    r.cold = quant.cold;
-    r.cold_speedup = exact.cold.nodes_per_sec > 0.0
-                         ? quant.cold.nodes_per_sec / exact.cold.nodes_per_sec
-                         : 0.0;
-    const int64_t rows = exact.embeddings.rows();
-    const int64_t d = exact.embeddings.cols();
-    const float* pe = exact.embeddings.data();
-    const float* pq = quant.embeddings.data();
-    for (int64_t i = 0; i < rows; ++i) {
-      double dot = 0.0, ne = 0.0, nq = 0.0;
-      for (int64_t j = 0; j < d; ++j) {
-        const double e = pe[i * d + j], qv = pq[i * d + j];
-        r.parity_max_abs = std::max(r.parity_max_abs, std::abs(e - qv));
-        dot += e * qv;
-        ne += e * e;
-        nq += qv * qv;
-      }
-      const double denom = std::sqrt(ne) * std::sqrt(nq);
-      if (denom > 0.0) r.cosine_min = std::min(r.cosine_min, dot / denom);
-    }
-    int64_t agree = 0;
-    for (size_t i = 0; i < exact.predictions.size(); ++i) {
-      agree += exact.predictions[i] == quant.predictions[i] ? 1 : 0;
-    }
-    r.predict_agreement =
-        exact.predictions.empty()
-            ? 1.0
-            : static_cast<double>(agree) /
-                  static_cast<double>(exact.predictions.size());
-    std::printf(
-        "quant=%-4s cold p50 %9.1f us  %8.0f nodes/s  speedup %.2fx | "
-        "max|d| %.2e  cos_min %.6f  agree %.4f\n",
-        r.mode.c_str(), r.cold.p50_us, r.cold.nodes_per_sec, r.cold_speedup,
-        r.parity_max_abs, r.cosine_min, r.predict_agreement);
-    results.push_back(std::move(r));
-  }
-  return results;
 }
 
 int Run(const std::string& out_path) {
@@ -306,35 +178,9 @@ int Run(const std::string& out_path) {
     by_batch.emplace_back(batch_size, std::move(phases));
   }
 
-  // Quantized-weights study on a wider model (see RunQuantStudy's note).
-  datasets::SyntheticGraphSpec qspec;
-  qspec.name = "serving_bench_quant";
-  qspec.node_types = {{"doc", full ? int64_t{1500} : int64_t{500}, true},
-                      {"tag", full ? int64_t{400} : int64_t{120}, false}};
-  qspec.edge_types = {{"doc-tag", "doc", "tag", 2.5, 0.9},
-                      {"doc-doc", "doc", "doc", 2.0, 0.8}};
-  qspec.num_classes = 3;
-  qspec.feature_dim = 32;
-  qspec.seed = 13;
-  auto qgraph = datasets::GenerateSyntheticGraph(qspec);
-  WIDEN_CHECK(qgraph.ok()) << qgraph.status().ToString();
-
-  core::WidenConfig qconfig = config;
-  qconfig.embedding_dim = 64;
-  const std::string qckpt = "serving_bench_quant.wdnt";
-  {
-    auto model = core::WidenModel::Create(&*qgraph, qconfig);
-    WIDEN_CHECK(model.ok()) << model.status().ToString();
-    WIDEN_CHECK_OK(core::SaveWidenModel(**model, qckpt));
-  }
-  const std::vector<QuantResult> quant_results =
-      RunQuantStudy(*qgraph, qconfig, qckpt, /*batch_size=*/8);
-
-  WriteJson(out_path, graph->num_nodes(), config, by_batch,
-            qgraph->num_nodes(), qconfig.embedding_dim, quant_results);
+  WriteJson(out_path, graph->num_nodes(), config, by_batch);
   std::printf("wrote %s\n", out_path.c_str());
   std::remove(ckpt.c_str());
-  std::remove(qckpt.c_str());
   return 0;
 }
 

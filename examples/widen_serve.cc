@@ -312,9 +312,31 @@ int ServeUntilDrained(serve::net::NetServer* server, SignalWatcher& watcher) {
   return 0;
 }
 
-int RunSmoke(int64_t clients, int64_t queries,
-             tensor::QuantFormat weight_quant, int listen_port, int admin_port,
-             long slo_ms, SignalWatcher& watcher) {
+using ReloadFn = decltype(serve::net::ServerOptions::reload_fn);
+
+// Puts `session` behind the wire protocol on 127.0.0.1:`port`, with the admin
+// plane when `admin_port` >= 0, and serves until drained. An empty
+// `reload_fn` disables hot reload.
+int ListenAndServe(std::shared_ptr<serve::InferenceSession> session, int port,
+                   int admin_port, long slo_ms, ReloadFn reload_fn,
+                   SignalWatcher& watcher) {
+  serve::net::ServerOptions options;
+  options.port = port;
+  options.slo_warn_ms = slo_ms;
+  options.reload_fn = std::move(reload_fn);
+  auto server = serve::net::NetServer::Start(std::move(session), options);
+  if (!server.ok()) return Fail(server.status());
+  AdminPlane admin_plane;
+  if (admin_port >= 0) {
+    auto plane = StartAdminPlane(admin_port, slo_ms, server->get());
+    if (!plane.ok()) return Fail(plane.status());
+    admin_plane = std::move(*plane);
+  }
+  return ServeUntilDrained(server->get(), watcher);
+}
+
+int RunSmoke(int64_t clients, int64_t queries, int listen_port,
+             int admin_port, long slo_ms, SignalWatcher& watcher) {
   // 1. Synthesize and train (two epochs — enough to populate the embedding
   //    store the checkpoint carries).
   datasets::SyntheticGraphSpec spec;
@@ -346,14 +368,9 @@ int RunSmoke(int64_t clients, int64_t queries,
   }  // trainer "killed" — from here on only the file and the graph exist
 
   // 2. Load the checkpoint into a serving session.
-  serve::SessionOptions session_options;
-  session_options.weight_quant = weight_quant;
-  auto session_or =
-      serve::InferenceSession::Load(ckpt, &*graph, config, session_options);
+  auto session_or = serve::InferenceSession::Load(ckpt, &*graph, config);
   if (!session_or.ok()) return Fail(session_or.status());
   serve::InferenceSession& session = **session_or;
-  std::printf("serving weights: %s\n",
-              tensor::QuantFormatName(weight_quant));
 
   auto served = session.Embed(probe);
   if (!served.ok()) return Fail(served.status());
@@ -437,33 +454,18 @@ int RunSmoke(int64_t clients, int64_t queries,
   //    server for socket smoke tests and load_bench without needing a
   //    trained checkpoint on disk.
   if (listen_port >= 0) {
-    serve::net::ServerOptions server_options;
-    server_options.port = listen_port;
-    server_options.slo_warn_ms = slo_ms;
-    server_options.reload_fn =
-        [&graph, ckpt, config,
-         weight_quant]() -> StatusOr<std::shared_ptr<serve::InferenceSession>> {
-      serve::SessionOptions session_options;
-      session_options.weight_quant = weight_quant;
-      auto fresh =
-          serve::InferenceSession::Load(ckpt, &*graph, config, session_options);
-      if (!fresh.ok()) return fresh.status();
-      return std::shared_ptr<serve::InferenceSession>(std::move(*fresh));
-    };
     // Non-owning: `session` is this frame's local and outlives the server.
-    auto server_or = serve::net::NetServer::Start(
+    return ListenAndServe(
         std::shared_ptr<serve::InferenceSession>(
             std::shared_ptr<serve::InferenceSession>(), &session),
-        server_options);
-    if (!server_or.ok()) return Fail(server_or.status());
-    AdminPlane admin_plane;
-    if (admin_port >= 0) {
-      auto plane = StartAdminPlane(admin_port, slo_ms, server_or->get());
-      if (!plane.ok()) return Fail(plane.status());
-      admin_plane = std::move(*plane);
-    }
-    const int rc = ServeUntilDrained(server_or->get(), watcher);
-    return rc;
+        listen_port, admin_port, slo_ms,
+        [&graph, ckpt,
+         config]() -> StatusOr<std::shared_ptr<serve::InferenceSession>> {
+          auto fresh = serve::InferenceSession::Load(ckpt, &*graph, config);
+          if (!fresh.ok()) return fresh.status();
+          return std::shared_ptr<serve::InferenceSession>(std::move(*fresh));
+        },
+        watcher);
   }
   return 0;
 }
@@ -472,24 +474,23 @@ int RunSmoke(int64_t clients, int64_t queries,
 // shared_ptr keeps the backing graph alive for exactly as long as anything
 // (including in-flight batches after a hot reload) references the session.
 StatusOr<std::shared_ptr<serve::InferenceSession>> LoadServingBundle(
-    const std::string& graph_path, const std::string& ckpt_path,
-    tensor::QuantFormat weight_quant) {
+    const std::string& graph_path, const std::string& ckpt_path) {
   struct Bundle {
     graph::HeteroGraph graph;
     std::unique_ptr<serve::InferenceSession> session;
   };
   auto graph = graph::LoadGraphText(graph_path);
   if (!graph.ok()) return graph.status();
+  // Serving needs no labels and no training config: recover the embedding
+  // dimension from the checkpoint itself.
   auto weights = core::LoadServingWeights(ckpt_path);
   if (!weights.ok()) return weights.status();
   core::WidenConfig config;
   config.embedding_dim = weights->params.embedding_dim();
-  serve::SessionOptions session_options;
-  session_options.weight_quant = weight_quant;
   auto bundle = std::make_shared<Bundle>();
   bundle->graph = std::move(*graph);
-  auto session = serve::InferenceSession::Load(ckpt_path, &bundle->graph,
-                                               config, session_options);
+  auto session =
+      serve::InferenceSession::Load(ckpt_path, &bundle->graph, config);
   if (!session.ok()) return session.status();
   bundle->session = std::move(*session);
   return std::shared_ptr<serve::InferenceSession>(bundle,
@@ -497,53 +498,35 @@ StatusOr<std::shared_ptr<serve::InferenceSession>> LoadServingBundle(
 }
 
 int RunServe(const std::string& graph_path, const std::string& ckpt_path,
-             tensor::QuantFormat weight_quant, int listen_port, int admin_port,
-             long slo_ms, bool allow_reload, SignalWatcher& watcher) {
-  auto session = LoadServingBundle(graph_path, ckpt_path, weight_quant);
+             int listen_port, int admin_port, long slo_ms, bool allow_reload,
+             SignalWatcher& watcher) {
+  auto session = LoadServingBundle(graph_path, ckpt_path);
   if (!session.ok()) return Fail(session.status());
   std::printf("loaded %s over %s: %lld nodes, %lld dims\n", ckpt_path.c_str(),
               graph_path.c_str(), static_cast<long long>((*session)->num_nodes()),
               static_cast<long long>((*session)->embedding_dim()));
-  serve::net::ServerOptions options;
-  options.port = listen_port;
-  options.slo_warn_ms = slo_ms;
+  ReloadFn reload_fn;
   if (allow_reload) {
     // Re-reads BOTH files, so a checkpoint (or graph) replaced on disk goes
     // live without dropping a request.
-    options.reload_fn = [graph_path, ckpt_path, weight_quant] {
-      return LoadServingBundle(graph_path, ckpt_path, weight_quant);
+    reload_fn = [graph_path, ckpt_path] {
+      return LoadServingBundle(graph_path, ckpt_path);
     };
   }
-  auto server = serve::net::NetServer::Start(std::move(*session), options);
-  if (!server.ok()) return Fail(server.status());
-  AdminPlane admin_plane;
-  if (admin_port >= 0) {
-    auto plane = StartAdminPlane(admin_port, slo_ms, server->get());
-    if (!plane.ok()) return Fail(plane.status());
-    admin_plane = std::move(*plane);
-  }
-  return ServeUntilDrained(server->get(), watcher);
+  return ListenAndServe(std::move(*session), listen_port, admin_port, slo_ms,
+                        std::move(reload_fn), watcher);
 }
 
 int RunEmbed(const std::string& graph_path, const std::string& ckpt_path,
-             const std::string& csv_path, tensor::QuantFormat weight_quant) {
-  auto graph = graph::LoadGraphText(graph_path);
-  if (!graph.ok()) return Fail(graph.status());
-  // Serving needs no labels and no training config: recover the embedding
-  // dimension from the checkpoint itself.
-  auto weights = core::LoadServingWeights(ckpt_path);
-  if (!weights.ok()) return Fail(weights.status());
-  core::WidenConfig config;
-  config.embedding_dim = weights->params.embedding_dim();
-  serve::SessionOptions session_options;
-  session_options.weight_quant = weight_quant;
-  auto session_or = serve::InferenceSession::Load(ckpt_path, &*graph, config,
-                                                  session_options);
-  if (!session_or.ok()) return Fail(session_or.status());
+             const std::string& csv_path) {
+  auto session = LoadServingBundle(graph_path, ckpt_path);
+  if (!session.ok()) return Fail(session.status());
 
   std::vector<graph::NodeId> nodes;
-  for (graph::NodeId v = 0; v < graph->num_nodes(); ++v) nodes.push_back(v);
-  auto embeddings = (*session_or)->Embed(nodes);
+  for (graph::NodeId v = 0; v < (*session)->num_nodes(); ++v) {
+    nodes.push_back(v);
+  }
+  auto embeddings = (*session)->Embed(nodes);
   if (!embeddings.ok()) return Fail(embeddings.status());
   std::FILE* out = std::fopen(csv_path.c_str(), "w");
   if (out == nullptr) return Fail(Status::IOError("cannot open " + csv_path));
@@ -574,20 +557,11 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   std::string profile_out;
-  std::string quant_name = "none";
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--quant") == 0 && i + 1 < argc) {
-      quant_name = argv[++i];
-      continue;
-    }
-    if (std::strncmp(arg, "--quant=", 8) == 0) {
-      quant_name = arg + 8;
       continue;
     }
     if (std::strcmp(arg, "--listen") == 0 && i + 1 < argc) {
@@ -656,12 +630,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --clients/--queries want positive integers\n");
     return 2;
   }
-  widen::tensor::QuantFormat weight_quant;
-  if (!widen::tensor::ParseQuantFormat(quant_name, &weight_quant)) {
-    std::fprintf(stderr, "error: --quant wants none|int8|fp16, got '%s'\n",
-                 quant_name.c_str());
-    return 2;
-  }
   argc = static_cast<int>(args.size());
   argv = args.data();
   widen::obs::InstallTraceExportOnExit(trace_out);
@@ -683,17 +651,16 @@ int main(int argc, char** argv) {
       dumper = std::make_unique<PeriodicMetricsDumper>(metrics_out);
     }
     if (smoke || argc == 1) {
-      return RunSmoke(clients, queries, weight_quant, listen_port, admin_port,
-                      slo_ms, signal_watcher);
+      return RunSmoke(clients, queries, listen_port, admin_port, slo_ms,
+                      signal_watcher);
     }
     const std::string command = argv[1];
     if (command == "embed" && argc == 5) {
-      return RunEmbed(argv[2], argv[3], argv[4], weight_quant);
+      return RunEmbed(argv[2], argv[3], argv[4]);
     }
     if (command == "serve" && argc == 4) {
-      return RunServe(argv[2], argv[3], weight_quant,
-                      listen_port >= 0 ? listen_port : 0, admin_port, slo_ms,
-                      allow_reload, signal_watcher);
+      return RunServe(argv[2], argv[3], listen_port >= 0 ? listen_port : 0,
+                      admin_port, slo_ms, allow_reload, signal_watcher);
     }
     std::fprintf(stderr,
                  "usage:\n"
@@ -701,9 +668,7 @@ int main(int argc, char** argv) {
                  "  %s embed <graph.txt> <model.ckpt> <out.csv>\n"
                  "  %s serve <graph.txt> <model.ckpt> --listen PORT "
                  "[--reload]\n"
-                 "options: --quant none|int8|fp16  serving weight storage "
-                 "(default exact fp32)\n"
-                 "         --listen PORT  serve the wire protocol on "
+                 "options: --listen PORT  serve the wire protocol on "
                  "127.0.0.1:PORT (0 = ephemeral)\n"
                  "         --reload       allow hot checkpoint reload "
                  "(SIGHUP or wire op)\n"

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "tensor/quant.h"
 #include "tensor/serialize.h"
 #include "util/string_util.h"
 
@@ -129,38 +128,6 @@ StatusOr<ServingWeights> LoadServingWeights(const std::string& path) {
     }
   }
   return weights;
-}
-
-void QuantizeServingWeights(ServingWeights* weights,
-                            tensor::QuantFormat format) {
-  for (tensor::Tensor& w : weights->params.MatMulWeights()) {
-    if (format == tensor::QuantFormat::kNone) {
-      w.impl_ptr()->quant.reset();
-    } else {
-      tensor::AttachQuant(w, tensor::QuantizeMatrix(w, format));
-    }
-  }
-}
-
-Status SaveQuantizedServingWeights(const ServingWeights& weights,
-                                   const std::string& path) {
-  tensor::Bundle bundle;
-  std::vector<tensor::Tensor> params = weights.params.All();
-  const auto& labels = EncoderParams::CanonicalLabels();
-  for (size_t i = 0; i < params.size(); ++i) {
-    const std::string name = StrCat("p", i, ":", labels[i]);
-    if (const tensor::QuantMatrix* qm = tensor::GetQuant(params[i])) {
-      if (qm->format != tensor::QuantFormat::kNone) {
-        bundle.quants.emplace_back(name, *qm);
-      }
-    }
-    bundle.tensors.emplace_back(name, std::move(params[i]));
-  }
-  if (weights.cache_reps.defined()) {
-    bundle.tensors.emplace_back("cache:reps", weights.cache_reps);
-    bundle.tensors.emplace_back("cache:valid", weights.cache_valid);
-  }
-  return tensor::SaveBundle(path, bundle);
 }
 
 Status LoadTrainingState(WidenModel& model, const std::string& path) {

@@ -8,7 +8,6 @@
 
 #include "core/encoder.h"
 #include "core/widen_model.h"
-#include "tensor/quant.h"
 #include "util/status.h"
 
 namespace widen::core {
@@ -53,25 +52,8 @@ struct ServingWeights {
 
 /// Loads serving weights from a file written by SaveWidenModel or
 /// SaveTrainingState (the resume blob is ignored). Record names and shapes
-/// are validated; corrupt or foreign files yield a non-OK status. Quant
-/// sidecar records (files written by SaveQuantizedServingWeights) arrive
-/// already attached to their weight tensors.
+/// are validated; corrupt or foreign files yield a non-OK status.
 StatusOr<ServingWeights> LoadServingWeights(const std::string& path);
-
-/// Quantizes the MatMul-consumed parameters of `weights` in place by
-/// attaching block-quantized sidecars (tensor/quant.h). The fp32 values are
-/// untouched; only the inference-mode MatMul reads the sidecars. kNone
-/// detaches any existing sidecars.
-void QuantizeServingWeights(ServingWeights* weights,
-                            tensor::QuantFormat format);
-
-/// Writes `weights` as a parameter bundle carrying, for every weight with a
-/// quant sidecar attached, an additional same-named quant record. Loading
-/// such a file through LoadServingWeights restores the sidecars without
-/// re-quantizing (and remains compatible with readers that predate quant
-/// records only when no sidecars are attached).
-Status SaveQuantizedServingWeights(const ServingWeights& weights,
-                                   const std::string& path);
 
 }  // namespace widen::core
 

@@ -142,11 +142,6 @@ std::vector<tensor::Tensor> EncoderParams::All() const {
   return params;
 }
 
-std::vector<tensor::Tensor> EncoderParams::MatMulWeights() const {
-  return {g_node,   wq_wide,  wk_wide,  wv_wide,  wq_deep,    wk_deep,
-          wv_deep,  wq_deep2, wk_deep2, wv_deep2, fuse_w,     classifier};
-}
-
 TargetState SampleTargetState(const graph::GraphView& graph,
                               graph::NodeId node, const WidenConfig& config,
                               Rng& rng) {

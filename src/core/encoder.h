@@ -64,12 +64,6 @@ struct EncoderParams {
   /// All 15 parameter tensors in canonical checkpoint order.
   std::vector<tensor::Tensor> All() const;
 
-  /// The 12 parameters the encoder consumes through MatMul (G_node, the
-  /// nine attention matrices, W_fuse, C) — the set eligible for
-  /// block-quantized serving (tensor/quant.h). The edge tables are gathered
-  /// row-wise and b_fuse is added, so quantizing them would change nothing.
-  std::vector<tensor::Tensor> MatMulWeights() const;
-
   int64_t embedding_dim() const { return g_node.cols(); }
   int64_t feature_dim() const { return g_node.rows(); }
   int32_t num_classes() const {

@@ -60,7 +60,6 @@ const char* ProfOpName(ProfOp op) {
     case ProfOp::kSumAll: return "SumAll";
     case ProfOp::kRowL2Normalize: return "RowL2Normalize";
     case ProfOp::kDropout: return "Dropout";
-    case ProfOp::kQuantMatMul: return "QuantMatMul";
   }
   return "unknown";
 }

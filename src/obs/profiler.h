@@ -80,14 +80,13 @@ enum class ProfOp : uint8_t {
   kSumAll,
   kRowL2Normalize,
   kDropout,
-  kQuantMatMul,  // fused dequant-dot MatMul over int8/fp16 serving weights
 };
-inline constexpr int kNumProfOps = 30;
+inline constexpr int kNumProfOps = 29;
 const char* ProfOpName(ProfOp op);
 
 /// Free-form key/value labels attached to profiler reports so a dump is
-/// attributable to the code path that produced it (active SIMD ISA, serving
-/// weight quantization mode, ...). Last write per key wins; thread-safe.
+/// attributable to the code path that produced it (active SIMD ISA, ...).
+/// Last write per key wins; thread-safe.
 void SetProfileAnnotation(const std::string& key, const std::string& value);
 /// The current value for `key` ("" when unset). Mainly for tests.
 std::string GetProfileAnnotation(const std::string& key);

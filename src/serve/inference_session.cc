@@ -134,27 +134,6 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Load(
   if (options.store_capacity < 0) {
     return Status::InvalidArgument("store_capacity must be >= 0");
   }
-  if (options.weight_quant != T::QuantFormat::kNone) {
-    // Quantize once at load. Weights that already carry a sidecar of the
-    // requested format (quantized checkpoint files) are kept as stored.
-    core::ServingWeights* w = &weights;
-    bool all_attached = true;
-    for (const T::Tensor& t : w->params.MatMulWeights()) {
-      const T::QuantMatrix* qm = T::GetQuant(t);
-      all_attached &= qm != nullptr && qm->format == options.weight_quant;
-    }
-    if (!all_attached) {
-      core::QuantizeServingWeights(w, options.weight_quant);
-    }
-  } else {
-    core::QuantizeServingWeights(&weights, T::QuantFormat::kNone);
-  }
-  obs::SetProfileAnnotation("weight_quant",
-                            T::QuantFormatName(options.weight_quant));
-  WIDEN_METRIC_GAUGE(quant_gauge, "widen_serve_weight_quant",
-                     "Serving weight storage format "
-                     "(0 = fp32, 1 = int8 block-32, 2 = fp16)");
-  quant_gauge->Set(static_cast<double>(options.weight_quant));
   return std::unique_ptr<InferenceSession>(
       new InferenceSession(std::move(weights), base_graph, config, options));
 }

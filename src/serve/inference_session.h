@@ -33,7 +33,6 @@
 #include "core/widen_config.h"
 #include "serve/embedding_store.h"
 #include "serve/graph_delta.h"
-#include "tensor/quant.h"
 #include "util/threadpool.h"
 
 namespace widen::serve {
@@ -50,14 +49,6 @@ struct SessionOptions {
   /// parallel (1 = serial). Results are bitwise independent of this value —
   /// every cold node draws from its own RNG stream.
   int64_t num_threads = 1;
-  /// Storage format for the MatMul-consumed weights (tensor/quant.h).
-  /// kNone serves the exact fp32 checkpoint values (bitwise-equal to
-  /// training-side EmbedNodes); kInt8Block32 / kFp16 quantize once at load
-  /// and stream the compressed weights through the fused dequant-dot
-  /// kernels — faster cold encodes, bounded approximation (measured in
-  /// BENCH_serving.json). Files saved with sidecars already attached skip
-  /// the re-quantization.
-  tensor::QuantFormat weight_quant = tensor::QuantFormat::kNone;
 };
 
 class InferenceSession {

@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "tensor/kernel_context.h"
-#include "tensor/quant.h"
 #include "tensor/simd/simd.h"
 
 namespace widen::tensor {
@@ -78,47 +77,6 @@ void AddMatMulFlops(int64_t flops) {
   }
 }
 
-// Fused dequant-dot MatMul over b's quant sidecar (inference mode only —
-// the caller guarantees no gradient is required). Streams the compressed
-// payload instead of fp32 B; byte counts reflect the quantized traffic.
-Tensor QuantMatMul(const Tensor& a, const Tensor& b, const QuantMatrix& qm) {
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  WIDEN_CHECK(qm.rows == k && qm.cols == n)
-      << "stale quant sidecar " << qm.rows << "x" << qm.cols << " for "
-      << b.shape().ToString();
-  Tensor out(Shape::Matrix(m, n));
-  const int64_t nb = qm.blocks_per_row();
-  const bool is_int8 = qm.format == QuantFormat::kInt8Block32;
-  // A fp32 + compressed B payload (int8 codes + fp32 block scales, or fp16
-  // halves) + output, in bytes.
-  const int64_t bytes = is_int8
-                            ? 4 * m * k + k * n + 4 * k * nb + 4 * m * n
-                            : 4 * m * k + 2 * k * n + 4 * m * n;
-  ScopedOpProfile prof(ProfOp::kQuantMatMul, 2 * m * n * k, bytes);
-  AddMatMulFlops(2 * m * n * k);
-  const float* pa = a.data();
-  float* po = out.mutable_data();
-  if (is_int8) {
-    const auto kern = simd::Active().matmul_row_q8;
-    const int8_t* q = qm.q.data();
-    const float* scales = qm.scales.data();
-    ParallelForGrid(m, kRowGrain, [=](int64_t r0, int64_t r1) {
-      for (int64_t i = r0; i < r1; ++i) {
-        kern(pa + i * k, q, scales, po + i * n, k, n);
-      }
-    });
-  } else {
-    const auto kern = simd::Active().matmul_row_f16;
-    const uint16_t* h = qm.half.data();
-    ParallelForGrid(m, kRowGrain, [=](int64_t r0, int64_t r1) {
-      for (int64_t i = r0; i < r1; ++i) {
-        kern(pa + i * k, h, po + i * n, k, n);
-      }
-    });
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---- Linear algebra --------------------------------------------------------
@@ -128,13 +86,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       << "MatMul requires matrices";
   WIDEN_CHECK_EQ(a.cols(), b.rows());
   const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  {
-    const QuantMatrix* qm = b.impl_ptr()->quant.get();
-    if (qm != nullptr && qm->format != QuantFormat::kNone &&
-        !NeedsGrad(a, b)) {
-      return QuantMatMul(a, b, *qm);
-    }
-  }
   Tensor out(Shape::Matrix(m, n));
   // Profiler FLOP/byte counts throughout this file are analytic per-shape
   // closed forms: FLOPs count elementary float ops (a transcendental is one),

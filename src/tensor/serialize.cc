@@ -17,17 +17,11 @@ namespace {
 
 constexpr char kMagic[4] = {'W', 'D', 'N', 'T'};
 constexpr char kFooterMagic[4] = {'W', 'D', 'N', 'F'};
-constexpr uint32_t kVersionLegacy = 1;
 constexpr uint32_t kVersion = 2;
-// Written only when the bundle holds quant records; the record loop itself
-// is version-agnostic, so v3 is purely an early loud failure for old
-// readers that would otherwise reject the unknown record kind mid-file.
-constexpr uint32_t kVersionQuant = 3;
 
 enum RecordKind : uint8_t {
   kTensorRecord = 0,
   kBlobRecord = 1,
-  kQuantRecord = 2,
 };
 
 // Structural sanity bounds: far above anything the library produces, low
@@ -43,11 +37,6 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-template <typename T>
-bool ReadScalar(std::FILE* file, T* value) {
-  return std::fread(value, sizeof(T), 1, file) == 1;
-}
 
 /// dims product with overflow checking; corrupt dimension fields must fail
 /// cleanly rather than overflow int64 and size a std::vector negatively.
@@ -112,37 +101,6 @@ Status ValidateNames(const Bundle& bundle) {
     WIDEN_RETURN_IF_ERROR(check(name));
     if (bytes.size() > kMaxBlobBytes) {
       return Status::InvalidArgument(StrCat("blob '", name, "' too large"));
-    }
-  }
-  // Quant names live in their own namespace (a quant may legitimately share
-  // its tensor's name as a sidecar) but must be unique among themselves and
-  // structurally consistent.
-  std::set<std::string> quant_names;
-  for (const auto& [name, qm] : bundle.quants) {
-    if (name.empty() || name.size() > kMaxNameLength) {
-      return Status::InvalidArgument(StrCat("bad quant record name '", name,
-                                            "'"));
-    }
-    if (!quant_names.insert(name).second) {
-      return Status::InvalidArgument(StrCat("duplicate quant record '", name,
-                                            "'"));
-    }
-    if (qm.format == QuantFormat::kNone || qm.rows < 0 || qm.cols < 0 ||
-        qm.rows * qm.cols > kMaxTensorElements) {
-      return Status::InvalidArgument(StrCat("invalid quant record '", name,
-                                            "'"));
-    }
-    const int64_t total = qm.rows * qm.cols;
-    const bool consistent =
-        qm.format == QuantFormat::kInt8Block32
-            ? static_cast<int64_t>(qm.q.size()) == total &&
-                  static_cast<int64_t>(qm.scales.size()) ==
-                      qm.rows * qm.blocks_per_row()
-            : static_cast<int64_t>(qm.half.size()) == total &&
-                  qm.scales.empty();
-    if (!consistent) {
-      return Status::InvalidArgument(
-          StrCat("quant record '", name, "' has inconsistent payload sizes"));
     }
   }
   return Status::OK();
@@ -224,7 +182,7 @@ struct CrcFileReader {
   }
 };
 
-StatusOr<Bundle> LoadV2Body(CrcFileReader& reader, const std::string& path) {
+StatusOr<Bundle> LoadBody(CrcFileReader& reader, const std::string& path) {
   uint64_t count = 0;
   if (!reader.ReadScalar(&count) || count > kMaxRecords) {
     return Status::InvalidArgument("corrupt bundle (record count)");
@@ -235,8 +193,7 @@ StatusOr<Bundle> LoadV2Body(CrcFileReader& reader, const std::string& path) {
     uint8_t kind = 0;
     uint32_t name_length = 0;
     if (!reader.ReadScalar(&kind) ||
-        (kind != kTensorRecord && kind != kBlobRecord &&
-         kind != kQuantRecord)) {
+        (kind != kTensorRecord && kind != kBlobRecord)) {
       return Status::InvalidArgument("corrupt bundle (record kind)");
     }
     if (!reader.ReadScalar(&name_length) || name_length > kMaxNameLength) {
@@ -273,60 +230,6 @@ StatusOr<Bundle> LoadV2Body(CrcFileReader& reader, const std::string& path) {
       out.tensors.emplace_back(
           std::move(name),
           Tensor::FromVector(ShapeFromDims(dims), std::move(data)));
-    } else if (kind == kQuantRecord) {
-      uint8_t format = 0;
-      uint64_t rows = 0, cols = 0, nscales = 0, payload_bytes = 0;
-      if (!reader.ReadScalar(&format) ||
-          (format != static_cast<uint8_t>(QuantFormat::kInt8Block32) &&
-           format != static_cast<uint8_t>(QuantFormat::kFp16))) {
-        return Status::InvalidArgument("corrupt bundle (quant format)");
-      }
-      if (!reader.ReadScalar(&rows) || !reader.ReadScalar(&cols) ||
-          rows > (1ull << 32) || cols > (1ull << 32)) {
-        return Status::InvalidArgument("corrupt bundle (quant dims)");
-      }
-      QuantMatrix qm;
-      qm.format = static_cast<QuantFormat>(format);
-      qm.rows = static_cast<int64_t>(rows);
-      qm.cols = static_cast<int64_t>(cols);
-      WIDEN_ASSIGN_OR_RETURN(const int64_t total,
-                             CheckedElementCount({qm.rows, qm.cols}));
-      const uint64_t expected_scales =
-          qm.format == QuantFormat::kInt8Block32
-              ? static_cast<uint64_t>(qm.rows * qm.blocks_per_row())
-              : 0;
-      const uint64_t expected_payload =
-          qm.format == QuantFormat::kInt8Block32
-              ? static_cast<uint64_t>(total)
-              : static_cast<uint64_t>(total) * sizeof(uint16_t);
-      if (!reader.ReadScalar(&nscales) || nscales != expected_scales ||
-          static_cast<int64_t>(nscales * sizeof(float)) > reader.remaining) {
-        return Status::InvalidArgument("corrupt bundle (quant scale count)");
-      }
-      qm.scales.resize(static_cast<size_t>(nscales));
-      if (!reader.Read(qm.scales.data(), qm.scales.size() * sizeof(float))) {
-        return Status::IOError(StrCat("truncated bundle ('", name,
-                                      "' scales)"));
-      }
-      if (!reader.ReadScalar(&payload_bytes) ||
-          payload_bytes != expected_payload ||
-          static_cast<int64_t>(payload_bytes) > reader.remaining) {
-        return Status::InvalidArgument("corrupt bundle (quant payload size)");
-      }
-      if (qm.format == QuantFormat::kInt8Block32) {
-        qm.q.resize(static_cast<size_t>(payload_bytes));
-        if (!reader.Read(qm.q.data(), qm.q.size())) {
-          return Status::IOError(StrCat("truncated bundle ('", name,
-                                        "' codes)"));
-        }
-      } else {
-        qm.half.resize(static_cast<size_t>(total));
-        if (!reader.Read(qm.half.data(), qm.half.size() * sizeof(uint16_t))) {
-          return Status::IOError(StrCat("truncated bundle ('", name,
-                                        "' halves)"));
-        }
-      }
-      out.quants.emplace_back(std::move(name), std::move(qm));
     } else {
       uint64_t size = 0;
       if (!reader.ReadScalar(&size) || size > kMaxBlobBytes ||
@@ -373,57 +276,6 @@ StatusOr<Bundle> LoadV2Body(CrcFileReader& reader, const std::string& path) {
   return out;
 }
 
-StatusOr<Bundle> LoadV1Body(std::FILE* file, int64_t remaining) {
-  uint64_t count = 0;
-  if (!ReadScalar(file, &count) || count > kMaxRecords) {
-    return Status::InvalidArgument("corrupt bundle (tensor count)");
-  }
-  remaining -= static_cast<int64_t>(sizeof(count));
-  Bundle out;
-  out.tensors.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t name_length = 0;
-    if (!ReadScalar(file, &name_length) || name_length > kMaxNameLength) {
-      return Status::InvalidArgument("corrupt bundle (name length)");
-    }
-    std::string name(name_length, '\0');
-    if (std::fread(name.data(), 1, name_length, file) != name_length) {
-      return Status::IOError("truncated bundle (name)");
-    }
-    uint32_t rank = 0;
-    if (!ReadScalar(file, &rank) ||
-        rank > static_cast<uint32_t>(Shape::kMaxRank)) {
-      return Status::InvalidArgument("corrupt bundle (rank)");
-    }
-    remaining -= static_cast<int64_t>(sizeof(name_length)) + name_length +
-                 static_cast<int64_t>(sizeof(rank));
-    std::vector<int64_t> dims(rank);
-    for (uint32_t d = 0; d < rank; ++d) {
-      uint64_t dim = 0;
-      if (!ReadScalar(file, &dim) || dim > (1ull << 32)) {
-        return Status::InvalidArgument("corrupt bundle (dimension)");
-      }
-      dims[d] = static_cast<int64_t>(dim);
-      remaining -= static_cast<int64_t>(sizeof(dim));
-    }
-    WIDEN_ASSIGN_OR_RETURN(const int64_t total, CheckedElementCount(dims));
-    if (total * static_cast<int64_t>(sizeof(float)) > remaining) {
-      return Status::InvalidArgument(
-          StrCat("truncated bundle ('", name, "' data)"));
-    }
-    std::vector<float> data(static_cast<size_t>(total));
-    if (std::fread(data.data(), sizeof(float), data.size(), file) !=
-        data.size()) {
-      return Status::IOError(StrCat("truncated bundle ('", name, "' data)"));
-    }
-    remaining -= total * static_cast<int64_t>(sizeof(float));
-    out.tensors.emplace_back(
-        std::move(name),
-        Tensor::FromVector(ShapeFromDims(dims), std::move(data)));
-  }
-  return out;
-}
-
 }  // namespace
 
 Status SaveBundle(const std::string& path, const Bundle& bundle) {
@@ -435,11 +287,9 @@ Status SaveBundle(const std::string& path, const Bundle& bundle) {
   WIDEN_RETURN_IF_ERROR(ValidateNames(bundle));
   WIDEN_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Open(path));
   CrcFileWriter writer{file.stream()};
-  const uint64_t record_count =
-      bundle.tensors.size() + bundle.blobs.size() + bundle.quants.size();
+  const uint64_t record_count = bundle.tensors.size() + bundle.blobs.size();
   writer.Write(kMagic, 4);
-  writer.WriteScalar<uint32_t>(bundle.quants.empty() ? kVersion
-                                                     : kVersionQuant);
+  writer.WriteScalar<uint32_t>(kVersion);
   writer.WriteScalar<uint64_t>(record_count);
 
   std::string record;
@@ -468,25 +318,6 @@ Status SaveBundle(const std::string& path, const Bundle& bundle) {
     encoder.WriteBytes(bytes.data(), bytes.size());
     flush_record();
   }
-  for (const auto& [name, qm] : bundle.quants) {
-    record.clear();
-    ByteWriter encoder(&record);
-    EncodeRecordHeader(encoder, kQuantRecord, name);
-    encoder.WriteScalar<uint8_t>(static_cast<uint8_t>(qm.format));
-    encoder.WriteScalar<uint64_t>(static_cast<uint64_t>(qm.rows));
-    encoder.WriteScalar<uint64_t>(static_cast<uint64_t>(qm.cols));
-    encoder.WriteScalar<uint64_t>(qm.scales.size());
-    encoder.WriteBytes(qm.scales.data(), qm.scales.size() * sizeof(float));
-    if (qm.format == QuantFormat::kInt8Block32) {
-      encoder.WriteScalar<uint64_t>(qm.q.size());
-      encoder.WriteBytes(qm.q.data(), qm.q.size());
-    } else {
-      encoder.WriteScalar<uint64_t>(qm.half.size() * sizeof(uint16_t));
-      encoder.WriteBytes(qm.half.data(), qm.half.size() * sizeof(uint16_t));
-    }
-    flush_record();
-  }
-
   const uint32_t file_crc = writer.file_crc;  // footer excludes itself
   writer.Write(kFooterMagic, 4);
   writer.WriteScalar<uint64_t>(record_count);
@@ -532,28 +363,14 @@ StatusOr<Bundle> LoadBundle(const std::string& path) {
   if (!reader.ReadScalar(&version)) {
     return Status::InvalidArgument("truncated bundle (version)");
   }
-  if (version == kVersionLegacy) {
-    StatusOr<Bundle> bundle = LoadV1Body(file.get(), reader.remaining);
-    if (bundle.ok()) bytes_read->Add(file_size);
-    return bundle;
-  }
-  if (version != kVersion && version != kVersionQuant) {
+  if (version != kVersion) {
     return Status::InvalidArgument(
         StrCat("unsupported bundle version ", version));
   }
-  StatusOr<Bundle> bundle = LoadV2Body(reader, path);
+  StatusOr<Bundle> bundle = LoadBody(reader, path);
   if (bundle.ok()) {
     bytes_read->Add(file_size);
     crc_verify_us->Add(reader.crc_ns / 1000);
-    // Re-attach quant sidecars to the tensors that share their name.
-    for (const auto& [qname, qm] : bundle->quants) {
-      for (auto& [tname, t] : bundle->tensors) {
-        if (tname == qname && t.shape().rank() == 2 &&
-            t.rows() == qm.rows && t.cols() == qm.cols) {
-          AttachQuant(t, qm);
-        }
-      }
-    }
   }
   return bundle;
 }

@@ -1,13 +1,10 @@
 // Binary serialization of tensors and named parameter bundles.
 //
-// Format v2/v3 (little-endian, checksummed, crash-safe):
+// Format v2 (little-endian, checksummed, crash-safe):
 //   file   := MAGIC("WDNT") u32-version u64-count record* footer
 //   record := u8-kind u32-name-length name-bytes body u32-crc32c
 //   body   := tensor: u32-rank u64-dim* f32-data*        (kind 0)
 //           | blob:   u64-size raw-bytes                 (kind 1)
-//           | quant:  u8-format u64-rows u64-cols        (kind 2)
-//                     u64-nscales f32-scale*
-//                     u64-payload-bytes raw-bytes
 //   footer := MAGIC("WDNF") u64-count u32-file-crc32c
 //
 // Each record's CRC32C covers its bytes from the kind tag through the body;
@@ -16,16 +13,8 @@
 // through the atomic temp-file + fsync + rename protocol (util/file_util.h):
 // a crash mid-save leaves the previous bundle intact.
 //
-// Quant records (tensor/quant.h) carry block-quantized serving weights: the
-// payload is the int8 code matrix (kInt8Block32, with the fp32 scales in the
-// scale array) or the raw binary16 matrix (kFp16, nscales = 0). A quant
-// record may share its name with a tensor record in the same bundle — it is
-// then a sidecar of that tensor and LoadBundle re-attaches it. Files are
-// written as version 3 only when at least one quant record is present, so
-// bundles without them remain readable by older releases.
-//
-// Version 1 files (no checksums, no footer) written by earlier releases
-// remain loadable. Floats are written raw; the format is not portable to
+// Version 2 is the only format read or written; any other version is
+// rejected. Floats are written raw; the format is not portable to
 // big-endian machines (none are targeted).
 
 #ifndef WIDEN_TENSOR_SERIALIZE_H_
@@ -35,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "tensor/quant.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -47,26 +35,20 @@ using NamedTensors = std::vector<std::pair<std::string, Tensor>>;
 /// An ordered list of (name, raw bytes) pairs for non-tensor state.
 using NamedBlobs = std::vector<std::pair<std::string, std::string>>;
 
-/// An ordered list of (name, quantized matrix) pairs.
-using NamedQuants = std::vector<std::pair<std::string, QuantMatrix>>;
-
 /// A checkpoint bundle: float tensors plus opaque byte records (optimizer /
-/// RNG / sampler state) plus optional block-quantized weight records. Names
-/// must be unique across tensors and blobs; a quant name must be unique
-/// among quants but MAY match a tensor name (sidecar of that tensor —
-/// LoadBundle re-attaches it via AttachQuant).
+/// RNG / sampler state). Names must be unique across tensors and blobs.
 struct Bundle {
   NamedTensors tensors;
   NamedBlobs blobs;
-  NamedQuants quants;
 };
 
 /// Atomically writes `bundle` to `path` in format v2. Names must be unique
 /// and non-empty; tensors must be non-null.
 Status SaveBundle(const std::string& path, const Bundle& bundle);
 
-/// Reads a v1 or v2 bundle, verifying all checksums (v2). Any truncation or
-/// corruption yields a non-OK Status; nothing is ever partially returned.
+/// Reads a v2 bundle, verifying every checksum. Any other version, any
+/// truncation and any corruption yield a non-OK Status; nothing is ever
+/// partially returned.
 StatusOr<Bundle> LoadBundle(const std::string& path);
 
 /// Writes `tensors` to `path` (v2, atomic). Names must be unique and

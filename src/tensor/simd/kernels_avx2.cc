@@ -1,5 +1,5 @@
-// AVX2+FMA+F16C kernel table. This translation unit (alone) is compiled
-// with -mavx2 -mfma -mf16c -ffp-contract=off: fused multiply-adds appear
+// AVX2+FMA kernel table. This translation unit (alone) is compiled with
+// -mavx2 -mfma -ffp-contract=off: fused multiply-adds appear
 // ONLY where an explicit _mm256_fmadd intrinsic is written, so the lanewise
 // kernels keep plain IEEE mul+add semantics and stay bitwise-identical to
 // the scalar table (DESIGN.md §13). Reduction kernels fix their lane-striped
@@ -18,25 +18,10 @@
 #include <cmath>
 #include <cstdint>
 
-#include "tensor/simd/half.h"
 #include "tensor/simd/simd.h"
 
 namespace widen::tensor::simd {
 namespace {
-
-constexpr int64_t kQuantBlock = 32;
-
-// 8 int8 values at p -> 8 floats.
-inline __m256 LoadQ8(const int8_t* p) {
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
-}
-
-// 8 IEEE halves at p -> 8 floats (exact decode).
-inline __m256 LoadF16(const uint16_t* p) {
-  return _mm256_cvtph_ps(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
 
 // Horizontal sum with a fixed tree: (lo+hi) pairwise within 128 bits.
 inline float HSum(__m256 v) {
@@ -86,97 +71,6 @@ void MatMulRow(const float* arow, const float* b, float* orow, int64_t k,
   for (; j < n; ++j) {
     float acc = orow[j];
     for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * n + j];
-    orow[j] = acc;
-  }
-}
-
-void MatMulRowQ8(const float* arow, const int8_t* q, const float* scales,
-                 float* orow, int64_t k, int64_t n) {
-  const int64_t nb = (n + kQuantBlock - 1) / kQuantBlock;
-  int64_t j = 0;
-  for (; j + 32 <= n; j += 32) {
-    __m256 a0 = _mm256_loadu_ps(orow + j);
-    __m256 a1 = _mm256_loadu_ps(orow + j + 8);
-    __m256 a2 = _mm256_loadu_ps(orow + j + 16);
-    __m256 a3 = _mm256_loadu_ps(orow + j + 24);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      // The scale factors out of the 32-element block: one broadcast
-      // multiplier av*scale feeds four FMAs over converted int8 lanes.
-      const __m256 s = _mm256_set1_ps(av * scales[kk * nb + (j >> 5)]);
-      const int8_t* qrow = q + kk * n + j;
-      a0 = _mm256_fmadd_ps(s, LoadQ8(qrow), a0);
-      a1 = _mm256_fmadd_ps(s, LoadQ8(qrow + 8), a1);
-      a2 = _mm256_fmadd_ps(s, LoadQ8(qrow + 16), a2);
-      a3 = _mm256_fmadd_ps(s, LoadQ8(qrow + 24), a3);
-    }
-    _mm256_storeu_ps(orow + j, a0);
-    _mm256_storeu_ps(orow + j + 8, a1);
-    _mm256_storeu_ps(orow + j + 16, a2);
-    _mm256_storeu_ps(orow + j + 24, a3);
-  }
-  for (; j + 8 <= n; j += 8) {
-    __m256 a0 = _mm256_loadu_ps(orow + j);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const __m256 s = _mm256_set1_ps(av * scales[kk * nb + (j >> 5)]);
-      a0 = _mm256_fmadd_ps(s, LoadQ8(q + kk * n + j), a0);
-    }
-    _mm256_storeu_ps(orow + j, a0);
-  }
-  for (; j < n; ++j) {
-    float acc = orow[j];
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      acc += (av * scales[kk * nb + (j >> 5)]) *
-             static_cast<float>(q[kk * n + j]);
-    }
-    orow[j] = acc;
-  }
-}
-
-void MatMulRowF16(const float* arow, const uint16_t* b, float* orow,
-                  int64_t k, int64_t n) {
-  int64_t j = 0;
-  for (; j + 32 <= n; j += 32) {
-    __m256 a0 = _mm256_loadu_ps(orow + j);
-    __m256 a1 = _mm256_loadu_ps(orow + j + 8);
-    __m256 a2 = _mm256_loadu_ps(orow + j + 16);
-    __m256 a3 = _mm256_loadu_ps(orow + j + 24);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const __m256 avv = _mm256_set1_ps(av);
-      const uint16_t* brow = b + kk * n + j;
-      a0 = _mm256_fmadd_ps(avv, LoadF16(brow), a0);
-      a1 = _mm256_fmadd_ps(avv, LoadF16(brow + 8), a1);
-      a2 = _mm256_fmadd_ps(avv, LoadF16(brow + 16), a2);
-      a3 = _mm256_fmadd_ps(avv, LoadF16(brow + 24), a3);
-    }
-    _mm256_storeu_ps(orow + j, a0);
-    _mm256_storeu_ps(orow + j + 8, a1);
-    _mm256_storeu_ps(orow + j + 16, a2);
-    _mm256_storeu_ps(orow + j + 24, a3);
-  }
-  for (; j + 8 <= n; j += 8) {
-    __m256 a0 = _mm256_loadu_ps(orow + j);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      a0 = _mm256_fmadd_ps(_mm256_set1_ps(av), LoadF16(b + kk * n + j), a0);
-    }
-    _mm256_storeu_ps(orow + j, a0);
-  }
-  for (; j < n; ++j) {
-    float acc = orow[j];
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      acc += av * HalfToFloat(b[kk * n + j]);
-    }
     orow[j] = acc;
   }
 }
@@ -440,8 +334,6 @@ const Kernels& Avx2Kernels() {
   static const Kernels kTable = {
       Isa::kAvx2,
       MatMulRow,
-      MatMulRowQ8,
-      MatMulRowF16,
       Dot,
       Axpy,
       Add,

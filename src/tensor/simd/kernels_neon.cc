@@ -2,9 +2,9 @@
 // compile flags are needed; -ffp-contract=off is still applied to this TU so
 // fused multiply-adds appear only where vfmaq is written explicitly and the
 // lanewise kernels keep plain IEEE mul+add semantics (bitwise-identical to
-// the scalar table). Kernels without a profitable NEON form (softmax, the
-// quantized fused dots, double-precision sum-of-squares) alias the scalar
-// implementations via table inheritance.
+// the scalar table). Kernels without a profitable NEON form (softmax,
+// double-precision sum-of-squares) alias the scalar implementations via
+// table inheritance.
 
 #if defined(__aarch64__)
 
@@ -192,7 +192,7 @@ void LeakyReluBwd(const float* g, const float* x, float slope, float* d,
 
 const Kernels& NeonKernels() {
   static const Kernels kTable = [] {
-    Kernels t = ScalarKernels();  // softmax/sumsq/l2norm/quant stay scalar
+    Kernels t = ScalarKernels();  // softmax/sumsq/l2norm stay scalar
     t.isa = Isa::kNeon;
     t.matmul_row = MatMulRow;
     t.dot = Dot;

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "tensor/simd/half.h"
 #include "tensor/simd/simd.h"
 
 namespace widen::tensor::simd {
@@ -17,7 +16,6 @@ namespace {
 // Columns per j-tile of the blocked MatMul loop (mirrors ops.cc: the active
 // B tile plus one output tile stay cache-resident while A is streamed).
 constexpr int64_t kJTile = 128;
-constexpr int64_t kQuantBlock = 32;
 
 void MatMulRow(const float* arow, const float* b, float* orow, int64_t k,
                int64_t n) {
@@ -28,34 +26,6 @@ void MatMulRow(const float* arow, const float* b, float* orow, int64_t k,
       const float* brow = b + kk * n;
       for (int64_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
     }
-  }
-}
-
-void MatMulRowQ8(const float* arow, const int8_t* q, const float* scales,
-                 float* orow, int64_t k, int64_t n) {
-  const int64_t nb = (n + kQuantBlock - 1) / kQuantBlock;
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float av = arow[kk];
-    if (av == 0.0f) continue;
-    const int8_t* qrow = q + kk * n;
-    const float* srow = scales + kk * nb;
-    for (int64_t b0 = 0; b0 < n; b0 += kQuantBlock) {
-      const int64_t b1 = std::min(n, b0 + kQuantBlock);
-      const float s = av * srow[b0 / kQuantBlock];
-      for (int64_t j = b0; j < b1; ++j) {
-        orow[j] += s * static_cast<float>(qrow[j]);
-      }
-    }
-  }
-}
-
-void MatMulRowF16(const float* arow, const uint16_t* b, float* orow,
-                  int64_t k, int64_t n) {
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float av = arow[kk];
-    if (av == 0.0f) continue;
-    const uint16_t* brow = b + kk * n;
-    for (int64_t j = 0; j < n; ++j) orow[j] += av * HalfToFloat(brow[j]);
   }
 }
 
@@ -164,8 +134,6 @@ const Kernels& ScalarKernels() {
   static const Kernels kTable = {
       Isa::kScalar,
       MatMulRow,
-      MatMulRowQ8,
-      MatMulRowF16,
       Dot,
       Axpy,
       Add,

@@ -7,9 +7,9 @@
 //   kScalar — portable C++ whose loop bodies replicate the pre-SIMD kernels
 //             statement for statement, so forcing the scalar ISA reproduces
 //             the seed's results bitwise;
-//   kAvx2   — x86-64 AVX2+FMA+F16C, compiled in its own translation unit
-//             with -mavx2 -mfma -mf16c and selected only when
-//             __builtin_cpu_supports() reports all three features;
+//   kAvx2   — x86-64 AVX2+FMA, compiled in its own translation unit with
+//             -mavx2 -mfma and selected only when __builtin_cpu_supports()
+//             reports both features;
 //   kNeon   — AArch64 NEON (always present on AArch64).
 //
 // Selection: the WIDEN_SIMD environment variable ("auto" default, "off" /
@@ -57,15 +57,6 @@ struct Kernels {
   // ascending kk order per output element (thread-grid determinism).
   void (*matmul_row)(const float* arow, const float* b, float* orow,
                      int64_t k, int64_t n);
-  // Fused dequant-dot over an int8 block-quantized B: q is rows*cols int8,
-  // scales is rows * ceil(n/32) floats, effective B[kk][j] =
-  // q[kk*n+j] * scales[kk*nb + j/32].
-  void (*matmul_row_q8)(const float* arow, const int8_t* q,
-                        const float* scales, float* orow, int64_t k,
-                        int64_t n);
-  // Fused dequant-dot over an IEEE-fp16 B (one uint16 per element).
-  void (*matmul_row_f16)(const float* arow, const uint16_t* b, float* orow,
-                         int64_t k, int64_t n);
   // sum_j a[j]*b[j], fixed per-ISA reduction tree.
   float (*dot)(const float* a, const float* b, int64_t n);
   // y[j] += a * x[j] (MatMul dB inner loop; FMA permitted).

@@ -20,10 +20,8 @@ std::mutex g_init_mu;
 bool CpuHasAvx2Fma() {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_cpu_init();
-  // The AVX2 table assumes all three features (FMA for the reduction
-  // kernels, F16C for the fp16 fused dequant-dot).
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-         __builtin_cpu_supports("f16c");
+  // The AVX2 table assumes both features (FMA for the reduction kernels).
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
   return false;
 #endif

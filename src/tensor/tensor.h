@@ -27,7 +27,6 @@
 namespace widen::tensor {
 
 class Tensor;
-struct QuantMatrix;  // tensor/quant.h — block-quantized serving sidecar
 
 /// RAII guard that disables autograd tape construction on this thread
 /// (torch.no_grad analogue). Ops executed inside produce constant results
@@ -67,11 +66,6 @@ struct TensorImpl {
   FloatBuffer grad;                        // lazily sized to data.size()
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void()> backward_fn;       // accumulates into parents' grads
-
-  // Block-quantized serving sidecar (tensor/quant.h), attached at
-  // checkpoint-load time to frozen weights; consulted only by the
-  // inference-mode MatMul. Must be treated as stale if `data` is mutated.
-  std::shared_ptr<QuantMatrix> quant;
 
   // Debug label (parameter name, op name); empty for intermediates.
   std::string label;

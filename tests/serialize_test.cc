@@ -13,6 +13,7 @@
 #include "datasets/synthetic.h"
 #include "gtest/gtest.h"
 #include "tensor/init.h"
+#include "util/crc32.h"
 #include "util/file_util.h"
 #include "util/random.h"
 
@@ -36,7 +37,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-// Appends a little-endian scalar; for hand-building legacy v1 files.
+// Appends a little-endian scalar; for hand-building bundle bytes.
 template <typename T>
 void Append(std::string* out, T value) {
   const size_t offset = out->size();
@@ -82,6 +83,24 @@ TEST(SerializeTest, RejectsBadBundles) {
   auto loaded = LoadTensors(garbage);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  // A bundle that is intact except that its header claims version 1 or 3.
+  // The footer CRC is recomputed, so only the version check can reject it.
+  const std::string good = TempPath("good.wdnt");
+  ASSERT_TRUE(SaveTensors(good, {{"a", t}}).ok());
+  const std::string intact = ReadFileBytes(good);
+  constexpr size_t kFooterBytes = 4 + 8 + 4;  // "WDNF", count, file CRC
+  for (uint32_t version : {1u, 3u}) {
+    std::string bytes = intact;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    const uint32_t crc = Crc32c(bytes.data(), bytes.size() - kFooterBytes);
+    std::memcpy(bytes.data() + bytes.size() - sizeof(crc), &crc, sizeof(crc));
+    const std::string path = TempPath("badversion.wdnt");
+    WriteFileBytes(path, bytes);
+    auto other = LoadTensors(path);
+    EXPECT_FALSE(other.ok()) << "version " << version;
+    EXPECT_EQ(other.status().code(), StatusCode::kInvalidArgument)
+        << "version " << version;
+  }
 }
 
 TEST(SerializeTest, RoundTripsBlobsAlongsideTensors) {
@@ -114,100 +133,22 @@ TEST(SerializeTest, RoundTripsBlobsAlongsideTensors) {
   EXPECT_FALSE(SaveBundle(TempPath("clash.wdnt"), clash).ok());
 }
 
-TEST(SerializeTest, RoundTripsQuantRecordsAndReattachesSidecars) {
-  Rng rng(9);
-  Tensor w = NormalInit(Shape::Matrix(4, 40), rng, 1.0f);
-  Bundle bundle;
-  bundle.tensors = {{"w", w}};
-  // One sidecar (same name as "w") and one standalone quant record.
-  bundle.quants = {{"w", QuantizeMatrix(w, QuantFormat::kInt8Block32)},
-                   {"standalone", QuantizeMatrix(w, QuantFormat::kFp16)}};
-  const std::string path = TempPath("quant.wdnt");
-  ASSERT_TRUE(SaveBundle(path, bundle).ok());
-
-  auto loaded = LoadBundle(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->quants.size(), 2u);
-  const QuantMatrix& qi = loaded->quants[0].second;
-  EXPECT_EQ(loaded->quants[0].first, "w");
-  EXPECT_EQ(qi.format, QuantFormat::kInt8Block32);
-  EXPECT_EQ(qi.q, bundle.quants[0].second.q);
-  EXPECT_EQ(qi.scales, bundle.quants[0].second.scales);
-  const QuantMatrix& qh = loaded->quants[1].second;
-  EXPECT_EQ(qh.format, QuantFormat::kFp16);
-  EXPECT_EQ(qh.half, bundle.quants[1].second.half);
-
-  // The same-named record came back attached to its tensor as a sidecar.
-  ASSERT_EQ(loaded->tensors.size(), 1u);
-  const QuantMatrix* sidecar = GetQuant(loaded->tensors[0].second);
-  ASSERT_NE(sidecar, nullptr);
-  EXPECT_EQ(sidecar->format, QuantFormat::kInt8Block32);
-
-  // Files without quant records keep the pre-quant version and an empty
-  // quants list.
-  const std::string plain = TempPath("plain_noquant.wdnt");
-  Bundle no_quants;
-  no_quants.tensors = {{"w", w}};
-  ASSERT_TRUE(SaveBundle(plain, no_quants).ok());
-  auto plain_loaded = LoadBundle(plain);
-  ASSERT_TRUE(plain_loaded.ok());
-  EXPECT_TRUE(plain_loaded->quants.empty());
-
-  // Corruption inside the quant payload is caught by the record checksums.
-  const std::string bytes = ReadFileBytes(path);
-  std::string mutated_bytes = bytes;
-  mutated_bytes[bytes.size() * 2 / 3] ^= 0x20;
-  const std::string mutated = TempPath("quant_mutated.wdnt");
-  WriteFileBytes(mutated, mutated_bytes);
-  EXPECT_FALSE(LoadBundle(mutated).ok());
-
-  // Malformed quant metadata is rejected at save time.
-  Bundle bad;
-  bad.tensors = {{"w", w}};
-  QuantMatrix none;  // format == kNone
-  none.rows = 4;
-  none.cols = 40;
-  bad.quants = {{"w", none}};
-  EXPECT_FALSE(SaveBundle(TempPath("badquant.wdnt"), bad).ok());
-}
-
-TEST(SerializeTest, LoadsLegacyV1Files) {
-  // Byte-for-byte the pre-checksum format: magic, version 1, count, then
-  // name-length/name/rank/dims/data per tensor — no CRCs, no footer.
-  std::string bytes;
-  bytes.append("WDNT", 4);
-  Append<uint32_t>(&bytes, 1);  // version
-  Append<uint64_t>(&bytes, 1);  // tensor count
-  Append<uint32_t>(&bytes, 3);  // name length
-  bytes.append("abc", 3);
-  Append<uint32_t>(&bytes, 2);  // rank
-  Append<uint64_t>(&bytes, 1);
-  Append<uint64_t>(&bytes, 2);
-  Append<float>(&bytes, 5.0f);
-  Append<float>(&bytes, -6.5f);
-  const std::string path = TempPath("legacy.wdnt");
-  WriteFileBytes(path, bytes);
-
-  auto loaded = LoadTensors(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_EQ((*loaded)[0].first, "abc");
-  ASSERT_TRUE((*loaded)[0].second.shape() == Shape::Matrix(1, 2));
-  EXPECT_FLOAT_EQ((*loaded)[0].second.at(0, 0), 5.0f);
-  EXPECT_FLOAT_EQ((*loaded)[0].second.at(0, 1), -6.5f);
-}
-
 TEST(SerializeTest, RejectsOverflowingElementCounts) {
-  // Dimensions whose product overflows int64 (and far exceeds the element
-  // cap). The legacy loader used to multiply unchecked, so a corrupt file
-  // could size a vector with a wrapped-around count.
+  // A v2 tensor record whose dimensions multiply past int64 (and far past
+  // the element cap). The element count is checked before any data is read
+  // or any checksum is verified, so a corrupt file can never size a vector
+  // with a wrapped-around count.
+  auto header = [](std::string* bytes, const char* name, uint32_t rank) {
+    bytes->append("WDNT", 4);
+    Append<uint32_t>(bytes, 2);  // version
+    Append<uint64_t>(bytes, 1);  // record count
+    Append<uint8_t>(bytes, 0);   // kind: tensor
+    Append<uint32_t>(bytes, 1);  // name length
+    bytes->append(name, 1);
+    Append<uint32_t>(bytes, rank);
+  };
   std::string bytes;
-  bytes.append("WDNT", 4);
-  Append<uint32_t>(&bytes, 1);
-  Append<uint64_t>(&bytes, 1);
-  Append<uint32_t>(&bytes, 1);
-  bytes.append("x", 1);
-  Append<uint32_t>(&bytes, 3);  // rank
+  header(&bytes, "x", 3);
   Append<uint64_t>(&bytes, 1ull << 31);
   Append<uint64_t>(&bytes, 1ull << 31);
   Append<uint64_t>(&bytes, 1ull << 31);
@@ -220,12 +161,7 @@ TEST(SerializeTest, RejectsOverflowingElementCounts) {
 
   // A single huge dimension within u64 range but above the cap also fails.
   std::string big;
-  big.append("WDNT", 4);
-  Append<uint32_t>(&big, 1);
-  Append<uint64_t>(&big, 1);
-  Append<uint32_t>(&big, 1);
-  big.append("y", 1);
-  Append<uint32_t>(&big, 1);
+  header(&big, "y", 1);
   Append<uint64_t>(&big, 1ull << 30);  // > element cap, < dim cap
   const std::string big_path = TempPath("bigdim.wdnt");
   WriteFileBytes(big_path, big);

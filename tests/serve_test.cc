@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <future>
 #include <stdexcept>
@@ -28,7 +27,6 @@
 #include "serve/graph_delta.h"
 #include "serve/request_batcher.h"
 #include "tensor/inference.h"
-#include "tensor/quant.h"
 
 namespace widen::serve {
 namespace {
@@ -549,101 +547,6 @@ TEST(EmbeddingStoreTest, LruEvictionAndVersionRekeying) {
   disabled.Insert(0, 1, ra);
   EXPECT_FALSE(disabled.Lookup(0, 1, &out));
   EXPECT_EQ(disabled.size(), 0);
-}
-
-TEST(InferenceSessionTest, QuantizedWeightsStayCloseAndMostlyAgree) {
-  auto base = MakeBaseGraph();
-  ASSERT_TRUE(base.ok());
-  const core::WidenConfig config = SmallConfig();
-  const std::string path = WriteColdCheckpoint(*base, config, "quant.wdnt");
-
-  std::vector<graph::NodeId> all;
-  for (graph::NodeId v = 0; v < base->num_nodes(); ++v) all.push_back(v);
-
-  auto run = [&](T::QuantFormat format, T::Tensor* emb,
-                 std::vector<int32_t>* preds) {
-    SessionOptions options;
-    options.store_capacity = base->num_nodes();
-    options.weight_quant = format;
-    auto session_or = InferenceSession::Load(path, &*base, config, options);
-    ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
-    auto rows = (*session_or)->Embed(all);
-    ASSERT_TRUE(rows.ok());
-    *emb = *rows;
-    auto p = (*session_or)->Predict(all);
-    ASSERT_TRUE(p.ok());
-    *preds = *p;
-  };
-
-  T::Tensor exact_emb, int8_emb, fp16_emb;
-  std::vector<int32_t> exact_preds, int8_preds, fp16_preds;
-  run(T::QuantFormat::kNone, &exact_emb, &exact_preds);
-  run(T::QuantFormat::kInt8Block32, &int8_emb, &int8_preds);
-  run(T::QuantFormat::kFp16, &fp16_emb, &fp16_preds);
-
-  // Embeddings are row-L2-normalized, so absolute gaps are meaningful.
-  auto max_gap = [&](const T::Tensor& got) {
-    double gap = 0.0;
-    for (int64_t i = 0; i < exact_emb.size(); ++i) {
-      gap = std::max(gap, std::abs(static_cast<double>(exact_emb.data()[i]) -
-                                   got.data()[i]));
-    }
-    return gap;
-  };
-  EXPECT_GT(max_gap(int8_emb), 0.0);  // the compressed path really ran
-  EXPECT_LT(max_gap(int8_emb), 0.05);
-  EXPECT_LT(max_gap(fp16_emb), 0.005);
-
-  auto agreement = [&](const std::vector<int32_t>& got) {
-    int64_t agree = 0;
-    for (size_t i = 0; i < exact_preds.size(); ++i) {
-      agree += exact_preds[i] == got[i] ? 1 : 0;
-    }
-    return static_cast<double>(agree) /
-           static_cast<double>(exact_preds.size());
-  };
-  EXPECT_GE(agreement(int8_preds), 0.9);
-  EXPECT_GE(agreement(fp16_preds), 0.99);
-}
-
-TEST(InferenceSessionTest, PreQuantizedCheckpointMatchesLoadTimeQuantization) {
-  auto base = MakeBaseGraph();
-  ASSERT_TRUE(base.ok());
-  const core::WidenConfig config = SmallConfig();
-  const std::string path = WriteColdCheckpoint(*base, config, "prequant.wdnt");
-
-  // Quantize offline and persist the sidecars alongside the fp32 weights.
-  auto weights = core::LoadServingWeights(path);
-  ASSERT_TRUE(weights.ok());
-  core::QuantizeServingWeights(&*weights, T::QuantFormat::kInt8Block32);
-  const std::string qpath = TempPath("prequant_int8.wdnt");
-  ASSERT_TRUE(core::SaveQuantizedServingWeights(*weights, qpath).ok());
-
-  // Sidecars come back attached...
-  auto reloaded = core::LoadServingWeights(qpath);
-  ASSERT_TRUE(reloaded.ok());
-  for (const T::Tensor& w : reloaded->params.MatMulWeights()) {
-    const T::QuantMatrix* qm = T::GetQuant(w);
-    ASSERT_NE(qm, nullptr);
-    EXPECT_EQ(qm->format, T::QuantFormat::kInt8Block32);
-  }
-
-  // ...and a session over the pre-quantized file embeds bitwise-identically
-  // to one that quantizes the plain file at load time.
-  std::vector<graph::NodeId> all;
-  for (graph::NodeId v = 0; v < base->num_nodes(); ++v) all.push_back(v);
-  SessionOptions options;
-  options.store_capacity = base->num_nodes();
-  options.weight_quant = T::QuantFormat::kInt8Block32;
-  auto from_plain = InferenceSession::Load(path, &*base, config, options);
-  auto from_quant = InferenceSession::Load(qpath, &*base, config, options);
-  ASSERT_TRUE(from_plain.ok());
-  ASSERT_TRUE(from_quant.ok()) << from_quant.status().ToString();
-  auto rows_plain = (*from_plain)->Embed(all);
-  auto rows_quant = (*from_quant)->Embed(all);
-  ASSERT_TRUE(rows_plain.ok());
-  ASSERT_TRUE(rows_quant.ok());
-  ExpectRowsEqual(*rows_plain, *rows_quant);
 }
 
 // Regression for the linger-anchoring bug: the worker used to re-anchor the

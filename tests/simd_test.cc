@@ -1,9 +1,7 @@
-// Tests for the runtime SIMD dispatch layer (tensor/simd/) and the
-// block-quantized weight storage (tensor/quant.h): ISA selection, the
-// per-ISA determinism contract, lanewise scalar-equivalence, fp16
-// conversion, quantization error bounds, and tensor allocation alignment.
+// Tests for the runtime SIMD dispatch layer (tensor/simd/): ISA selection,
+// the per-ISA determinism contract, lanewise scalar-equivalence, and tensor
+// allocation alignment.
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -14,8 +12,6 @@
 #include "tensor/init.h"
 #include "tensor/kernel_context.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
-#include "tensor/simd/half.h"
 #include "tensor/simd/simd.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
@@ -227,120 +223,6 @@ TEST(SimdKernelTest, OpsBitwiseDeterministicAcrossThreadCounts) {
     EXPECT_EQ(std::memcmp(t1.data(), t4.data(), t1.size() * sizeof(float)), 0)
         << "isa=" << simd::IsaName(isa);
   }
-}
-
-TEST(HalfConversionTest, RoundTripSpecialsExactly) {
-  using simd::FloatToHalf;
-  using simd::HalfToFloat;
-  EXPECT_EQ(HalfToFloat(FloatToHalf(0.0f)), 0.0f);
-  EXPECT_TRUE(std::signbit(HalfToFloat(FloatToHalf(-0.0f))));
-  EXPECT_EQ(HalfToFloat(FloatToHalf(1.0f)), 1.0f);
-  EXPECT_EQ(HalfToFloat(FloatToHalf(-2.5f)), -2.5f);
-  EXPECT_EQ(HalfToFloat(FloatToHalf(65504.0f)), 65504.0f);  // max finite half
-  EXPECT_TRUE(std::isinf(HalfToFloat(FloatToHalf(1e6f))));  // overflow -> inf
-  EXPECT_TRUE(std::isinf(HalfToFloat(
-      FloatToHalf(std::numeric_limits<float>::infinity()))));
-  EXPECT_TRUE(std::isnan(HalfToFloat(
-      FloatToHalf(std::numeric_limits<float>::quiet_NaN()))));
-  // Smallest half subnormal and below.
-  EXPECT_EQ(HalfToFloat(FloatToHalf(5.9604645e-8f)), 5.9604645e-8f);
-  EXPECT_EQ(HalfToFloat(FloatToHalf(1e-10f)), 0.0f);  // underflow -> zero
-}
-
-TEST(HalfConversionTest, RelativeErrorBounded) {
-  const std::vector<float> values = RandomValues(4096, 77);
-  for (float v : values) {
-    const float back = simd::HalfToFloat(simd::FloatToHalf(v));
-    // Half has 11 significand bits: RNE error <= 2^-11 relative.
-    EXPECT_LE(std::abs(back - v), std::abs(v) * (1.0f / 2048.0f) + 1e-7f);
-  }
-}
-
-TEST(QuantTest, Int8RoundTripErrorBoundedPerBlock) {
-  Rng rng(5);
-  Tensor w = NormalInit(Shape::Matrix(9, 70), rng, 1.0f, "w");
-  const QuantMatrix qm = QuantizeMatrix(w, QuantFormat::kInt8Block32);
-  EXPECT_EQ(qm.rows, 9);
-  EXPECT_EQ(qm.cols, 70);
-  EXPECT_EQ(qm.blocks_per_row(), 3);
-  EXPECT_EQ(static_cast<int64_t>(qm.scales.size()),
-            qm.rows * qm.blocks_per_row());
-  const Tensor back = DequantizeMatrix(qm);
-  for (int64_t i = 0; i < qm.rows; ++i) {
-    for (int64_t j = 0; j < qm.cols; ++j) {
-      const float scale = qm.scales[i * qm.blocks_per_row() + j / kQuantBlock];
-      // Symmetric rounding: |w - q*scale| <= scale/2.
-      EXPECT_LE(std::abs(w.at(i, j) - back.at(i, j)), scale * 0.5f + 1e-9f)
-          << i << "," << j;
-    }
-  }
-}
-
-TEST(QuantTest, Fp16RoundTripMatchesHalfConversion) {
-  Rng rng(6);
-  Tensor w = NormalInit(Shape::Matrix(4, 33), rng, 1.0f, "w");
-  const QuantMatrix qm = QuantizeMatrix(w, QuantFormat::kFp16);
-  EXPECT_EQ(static_cast<int64_t>(qm.half.size()), w.size());
-  const Tensor back = DequantizeMatrix(qm);
-  for (int64_t i = 0; i < w.size(); ++i) {
-    EXPECT_EQ(back.data()[i],
-              simd::HalfToFloat(simd::FloatToHalf(w.data()[i])))
-        << i;
-  }
-}
-
-// The inference-mode MatMul reads the sidecar; training-mode (grad-tracked)
-// MatMul must keep reading the exact fp32 weights.
-TEST(QuantTest, MatMulUsesSidecarOnlyWithoutGrad) {
-  Rng rng(7);
-  // Frozen operands: NormalInit returns differentiable leaves, and the
-  // sidecar is only consulted when neither operand needs gradients.
-  Tensor a = NormalInit(Shape::Matrix(5, 64), rng, 0.7f, "a");
-  Tensor b = NormalInit(Shape::Matrix(64, 48), rng, 0.7f, "b");
-  a.set_requires_grad(false);
-  b.set_requires_grad(false);
-  const Tensor exact = MatMul(a, b);
-
-  AttachQuant(b, QuantizeMatrix(b, QuantFormat::kInt8Block32));
-  ASSERT_NE(GetQuant(b), nullptr);
-  const Tensor quant = MatMul(a, b);
-  double max_gap = 0.0, max_mag = 0.0;
-  bool any_diff = false;
-  for (int64_t i = 0; i < exact.size(); ++i) {
-    max_gap = std::max(max_gap,
-                       std::abs(static_cast<double>(exact.data()[i]) -
-                                quant.data()[i]));
-    max_mag = std::max(max_mag, std::abs(static_cast<double>(exact.data()[i])));
-    any_diff |= exact.data()[i] != quant.data()[i];
-  }
-  EXPECT_TRUE(any_diff);          // the int8 path really ran
-  EXPECT_LE(max_gap, 0.05 * std::max(max_mag, 1.0));  // ...and is close
-
-  // Grad-tracked operands bypass the sidecar entirely.
-  Tensor at = NormalInit(Shape::Matrix(5, 64), rng, 0.7f, "at");
-  at.set_requires_grad(true);
-  Tensor tracked = MatMul(at, b);
-  EXPECT_TRUE(tracked.requires_grad());
-
-  // Detach: kNone resets to the exact path.
-  b.impl_ptr()->quant.reset();
-  const Tensor again = MatMul(a, b);
-  EXPECT_EQ(std::memcmp(again.data(), exact.data(),
-                        exact.size() * sizeof(float)),
-            0);
-}
-
-TEST(QuantTest, ParseAndNameRoundTrip) {
-  QuantFormat f = QuantFormat::kNone;
-  EXPECT_TRUE(ParseQuantFormat("int8", &f));
-  EXPECT_EQ(f, QuantFormat::kInt8Block32);
-  EXPECT_TRUE(ParseQuantFormat("fp16", &f));
-  EXPECT_EQ(f, QuantFormat::kFp16);
-  EXPECT_TRUE(ParseQuantFormat("none", &f));
-  EXPECT_EQ(f, QuantFormat::kNone);
-  EXPECT_FALSE(ParseQuantFormat("int4", &f));
-  EXPECT_STREQ(QuantFormatName(QuantFormat::kInt8Block32), "int8");
-  EXPECT_STREQ(QuantFormatName(QuantFormat::kFp16), "fp16");
 }
 
 }  // namespace
