@@ -71,14 +71,31 @@ struct EncoderParams {
   }
 };
 
-/// Source of stored multi-hop node representations (§3's stateful
-/// embeddings). Lookup returns a pointer to `embedding_dim` floats, or
-/// nullptr when the node has no stored representation (fall back to the
-/// fresh projection x G^node).
+/// Stored multi-hop node representations (§3's stateful embeddings): a
+/// row-major table of `embedding_dim`-float rows gated by `valid`. Training
+/// reads its embedding cache through one, serving the checkpoint's frozen
+/// rows. Lookup returns a node's row, or nullptr when the node has no stored
+/// representation — its row is invalid, or the node lies past the table
+/// (delta-added in serving) — so the encoder falls back to the fresh
+/// projection x G^node. Both referents must outlive the source.
 class RepSource {
  public:
-  virtual ~RepSource() = default;
-  virtual const float* Lookup(graph::NodeId v) const = 0;
+  RepSource(const float* rows, const std::vector<bool>* valid,
+            int64_t embedding_dim)
+      : rows_(rows), valid_(valid), embedding_dim_(embedding_dim) {}
+
+  const float* Lookup(graph::NodeId v) const {
+    if (v < 0 || v >= static_cast<graph::NodeId>(valid_->size()) ||
+        !(*valid_)[static_cast<size_t>(v)]) {
+      return nullptr;
+    }
+    return rows_ + static_cast<int64_t>(v) * embedding_dim_;
+  }
+
+ private:
+  const float* rows_;
+  const std::vector<bool>* valid_;
+  int64_t embedding_dim_;
 };
 
 /// Mutable per-target neighbor state, persisted across training epochs.

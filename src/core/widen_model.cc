@@ -4,8 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "tensor/autograd.h"
 #include "tensor/inference.h"
 #include "tensor/init.h"
@@ -20,24 +19,6 @@ namespace widen::core {
 namespace {
 
 namespace T = widen::tensor;
-
-// Presents one EmbeddingCache to the shared encode path.
-class CacheRepSource final : public RepSource {
- public:
-  CacheRepSource(const std::vector<float>& data,
-                 const std::vector<bool>& valid, int64_t embedding_dim)
-      : data_(data), valid_(valid), embedding_dim_(embedding_dim) {}
-
-  const float* Lookup(graph::NodeId v) const override {
-    if (!valid_[static_cast<size_t>(v)]) return nullptr;
-    return data_.data() + static_cast<int64_t>(v) * embedding_dim_;
-  }
-
- private:
-  const std::vector<float>& data_;
-  const std::vector<bool>& valid_;
-  int64_t embedding_dim_;
-};
 
 }  // namespace
 
@@ -110,7 +91,7 @@ WidenModel::EmbeddingCache& WidenModel::CacheFor(
 T::Tensor WidenModel::LookupReps(const graph::HeteroGraph& graph,
                                  const std::vector<graph::NodeId>& nodes) {
   EmbeddingCache& cache = CacheFor(graph);
-  CacheRepSource reps(cache.data, cache.valid, config_.embedding_dim);
+  const RepSource reps(cache.data.data(), &cache.valid, config_.embedding_dim);
   return core::LookupReps(graph::HeteroGraphView(graph), params_, nodes,
                           &reps);
 }
@@ -141,7 +122,7 @@ void WidenModel::RefreshCache(const graph::HeteroGraph& graph,
 
 WidenModel::TargetState WidenModel::SampleTargetState(
     const graph::HeteroGraph& graph, graph::NodeId node, Rng& rng) const {
-  obs::ScopedProfPhase phase_scope(obs::ProfPhase::kSampling);
+  obs::StageScope stage(obs::Stage::kSampling);
   if (sampling_view_ != nullptr && &graph == graph_) {
     return core::SampleTargetState(*sampling_view_, node, config_, rng);
   }
@@ -152,9 +133,9 @@ WidenModel::TargetState WidenModel::SampleTargetState(
 WidenModel::ForwardResult WidenModel::Forward(const graph::HeteroGraph& graph,
                                               TargetState& state,
                                               bool keep_artifacts) {
-  obs::ScopedProfPhase phase_scope(obs::ProfPhase::kForward);
+  obs::StageScope stage(obs::Stage::kForward);
   EmbeddingCache& cache = CacheFor(graph);
-  CacheRepSource reps(cache.data, cache.valid, config_.embedding_dim);
+  const RepSource reps(cache.data.data(), &cache.valid, config_.embedding_dim);
   return EncodeTarget(graph::HeteroGraphView(graph), params_, config_, state,
                       &reps, keep_artifacts, rng_);
 }
@@ -238,7 +219,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
   // unlabeled ones out of the loss), which is how information reaches
   // farther than one hop as epochs accumulate.
   {
-    WIDEN_TRACE_SPAN("sample_target_states", "train");
+    obs::StageScope stage(obs::Stage::kSampleTargetStates);
     for (graph::NodeId v = 0; v < graph_->num_nodes(); ++v) {
       if (target_states_.find(v) == target_states_.end()) {
         target_states_.emplace(v, SampleTargetState(*graph_, v, rng_));
@@ -281,7 +262,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
   WIDEN_METRIC_COUNTER(deep_drops_total, "widen_train_kl_deep_drops_total",
                        "Deep walk nodes pruned by the KL trigger (Eq. 9)");
   while (current_epoch_ < target_epoch) {
-    WIDEN_TRACE_SPAN("train_epoch", "train");
+    obs::StageScope epoch_stage(obs::Stage::kTrainEpoch);
     StopWatch epoch_watch;
     WidenEpochLog log;
     log.epoch = current_epoch_;
@@ -293,7 +274,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
     supervised_order = supervised_canonical;
     rng_.Shuffle(supervised_order);
     {
-      WIDEN_TRACE_SPAN("supervised_batches", "train");
+      obs::StageScope stage(obs::Stage::kSupervisedBatches);
       for (size_t begin = 0; begin < supervised_order.size();
            begin += static_cast<size_t>(config_.batch_size)) {
         const size_t end =
@@ -328,7 +309,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
           last_grad_norm = optimizer_->ClipGradNorm(1e30);
         }
         {
-          obs::ScopedProfPhase opt_scope(obs::ProfPhase::kOptimizer);
+          obs::StageScope optimizer_stage(obs::Stage::kOptimizer);
           optimizer_->Step();
         }
         loss_sum += loss.item();
@@ -340,7 +321,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
     // iterates all of V; unlabeled nodes contribute no loss, Eq. 10). This
     // sweep is what pushes information one hop further per epoch.
     {
-      WIDEN_TRACE_SPAN("refresh_sweep", "train");
+      obs::StageScope stage(obs::Stage::kRefreshSweep);
       T::NoGradScope no_grad;
       refresh_order = refresh_canonical;
       rng_.Shuffle(refresh_order);
@@ -450,7 +431,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUnsupervised(
         context_optimizer.ZeroGrad();
         loss.Backward();
         {
-          obs::ScopedProfPhase opt_scope(obs::ProfPhase::kOptimizer);
+          obs::StageScope optimizer_stage(obs::Stage::kOptimizer);
           optimizer_->Step();
           context_optimizer.Step();
         }
@@ -486,14 +467,13 @@ T::Tensor WidenModel::EmbedNodes(const graph::HeteroGraph& graph,
   EmbeddingCache& cache = CacheFor(graph);
   const int64_t d = config_.embedding_dim;
   graph::HeteroGraphView view(graph);
-  CacheRepSource reps(cache.data, cache.valid, d);
+  const RepSource reps(cache.data.data(), &cache.valid, d);
   T::Tensor out(T::Shape::Matrix(static_cast<int64_t>(nodes.size()), d));
   float* dst = out.mutable_data();
   for (size_t i = 0; i < nodes.size(); ++i) {
     const graph::NodeId v = nodes[i];
     float* row = dst + static_cast<int64_t>(i) * d;
-    if (cache.valid[static_cast<size_t>(v)]) {
-      const float* src = cache.data.data() + static_cast<int64_t>(v) * d;
+    if (const float* src = reps.Lookup(v)) {
       std::copy(src, src + d, row);
       continue;
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <sstream>
@@ -87,14 +86,6 @@ void AppendRecordJson(std::ostringstream& out, const FlightRecord& r) {
 }
 
 }  // namespace
-
-int64_t MonotonicMicros() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
 
 FlightRecorder& FlightRecorder::Get() {
   static FlightRecorder* const recorder = new FlightRecorder();

@@ -27,10 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/stage.h"  // MonotonicMicros, the axis of every stamp below
+
 namespace widen::obs {
 
-/// One served request's life, in microseconds since the recorder epoch
-/// (MonotonicMicros). POD sized to the seqlock payload (8 words).
+/// One served request's life, in microseconds on the obs clock
+/// (MonotonicMicros — the same axis as trace events). POD sized to the
+/// seqlock payload (8 words).
 struct FlightRecord {
   uint64_t trace_id = 0;     // wire trace id (0 when the client sent none)
   uint64_t request_id = 0;   // wire request id
@@ -52,7 +55,8 @@ static_assert(sizeof(FlightRecord) == 8 * sizeof(uint64_t),
 /// Process-wide fixed-arena ring of recent FlightRecords.
 class FlightRecorder {
  public:
-  /// Slots per recording thread. The arena is 512 * 68 B ≈ 34 KiB per
+  /// Slots per recording thread. A slot is a 4-byte sequence number padded
+  /// to 8 plus the 64-byte payload, so the arena is 512 * 72 B ≈ 36 KiB per
   /// thread, fixed at first record and never grown.
   static constexpr size_t kSlotsPerThread = 512;
 
@@ -84,11 +88,6 @@ class FlightRecorder {
  private:
   FlightRecorder() = default;
 };
-
-/// Microseconds since a process-wide steady-clock epoch; the time axis for
-/// FlightRecord stamps (shared with trace.cc's span axis conceptually but a
-/// distinct epoch — compare durations, not absolute stamps, across the two).
-int64_t MonotonicMicros();
 
 }  // namespace widen::obs
 

@@ -1,8 +1,5 @@
 #include "obs/memprof.h"
 
-#include <mutex>
-#include <vector>
-
 #if defined(__linux__)
 #include <cstdio>
 #include <cstring>
@@ -12,80 +9,6 @@
 #endif
 
 namespace widen::obs {
-
-namespace internal_memprof {
-namespace {
-
-struct Registry {
-  std::mutex mu;
-  std::vector<ThreadAllocTable*> tables;  // leaked at exit, like the trace
-};                                        // buffers: workers never outlive it
-
-Registry& GetRegistry() {
-  static Registry* const registry = new Registry();
-  return *registry;
-}
-
-}  // namespace
-
-ThreadAllocTable& GetThreadTable() {
-  thread_local ThreadAllocTable* const table = [] {
-    auto* t = new ThreadAllocTable();
-    Registry& reg = GetRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    reg.tables.push_back(t);
-    return t;
-  }();
-  return *table;
-}
-
-}  // namespace internal_memprof
-
-MemProfPhaseStats MemProfSnapshot::Total() const {
-  MemProfPhaseStats total;
-  for (const MemProfPhaseStats& p : phases) {
-    total.tensor_allocs += p.tensor_allocs;
-    total.tensor_bytes += p.tensor_bytes;
-    total.grad_allocs += p.grad_allocs;
-    total.grad_bytes += p.grad_bytes;
-    total.tape_nodes += p.tape_nodes;
-  }
-  return total;
-}
-
-MemProfSnapshot TakeMemProfSnapshot() {
-  MemProfSnapshot snap;
-  auto& reg = internal_memprof::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const internal_memprof::ThreadAllocTable* table : reg.tables) {
-    for (int p = 0; p < kNumProfPhases; ++p) {
-      const internal_memprof::AllocCell& c = table->phases[p];
-      MemProfPhaseStats& out = snap.phases[p];
-      out.tensor_allocs += c.tensor_allocs.load(std::memory_order_relaxed);
-      out.tensor_bytes += c.tensor_bytes.load(std::memory_order_relaxed);
-      out.grad_allocs += c.grad_allocs.load(std::memory_order_relaxed);
-      out.grad_bytes += c.grad_bytes.load(std::memory_order_relaxed);
-      out.tape_nodes += c.tape_nodes.load(std::memory_order_relaxed);
-    }
-  }
-  snap.peak_rss_bytes = ReadPeakRssBytes();
-  snap.current_rss_bytes = ReadCurrentRssBytes();
-  return snap;
-}
-
-void ResetMemProf() {
-  auto& reg = internal_memprof::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (internal_memprof::ThreadAllocTable* table : reg.tables) {
-    for (internal_memprof::AllocCell& c : table->phases) {
-      c.tensor_allocs.store(0, std::memory_order_relaxed);
-      c.tensor_bytes.store(0, std::memory_order_relaxed);
-      c.grad_allocs.store(0, std::memory_order_relaxed);
-      c.grad_bytes.store(0, std::memory_order_relaxed);
-      c.tape_nodes.store(0, std::memory_order_relaxed);
-    }
-  }
-}
 
 namespace {
 

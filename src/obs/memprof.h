@@ -1,51 +1,25 @@
 // Allocation accounting for the tensor layer (DESIGN.md §12).
 //
-// Counts tape-driven allocations per profiler phase: tensor data buffers
+// Counts tape-driven allocations per profiler stage: tensor data buffers
 // (count + bytes), lazily-sized gradient buffers (count + bytes), and tape
 // nodes attached. Together with the peak-RSS sample and the EmbeddingStore
 // resident-bytes gauge this is the baseline the planned arena-allocated
 // autograd refactor (ROADMAP) must beat — the refactor succeeds exactly when
 // per-step `tensor_allocs` collapses to O(1) without moving peak RSS.
 //
-// The hooks share the profiler's enable switch and cost model: disabled
-// (default) is one relaxed load and a branch; enabled bumps single-writer
-// cells in a registered thread-local table. Phase attribution uses the same
-// thread-local phase as the op profiler.
+// The hooks share the profiler's enable switch, cost model and per-thread
+// table: disabled (default) is one relaxed load and a branch; enabled bumps
+// single-writer cells of the current stage (Profiler::Totals(Stage) reads
+// them back).
 
 #ifndef WIDEN_OBS_MEMPROF_H_
 #define WIDEN_OBS_MEMPROF_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "obs/profiler.h"
 
 namespace widen::obs {
-
-namespace internal_memprof {
-
-// Single-writer per-thread, per-phase allocation accumulators (same
-// discipline as internal_prof::OpCell).
-struct AllocCell {
-  std::atomic<int64_t> tensor_allocs{0};
-  std::atomic<int64_t> tensor_bytes{0};
-  std::atomic<int64_t> grad_allocs{0};
-  std::atomic<int64_t> grad_bytes{0};
-  std::atomic<int64_t> tape_nodes{0};
-};
-
-struct ThreadAllocTable {
-  AllocCell phases[kNumProfPhases];
-};
-
-// This thread's table; registers it with the global registry on first use.
-ThreadAllocTable& GetThreadTable();
-
-inline AllocCell& CurrentCell() {
-  return GetThreadTable().phases[static_cast<int>(CurrentProfPhase())];
-}
-
-}  // namespace internal_memprof
 
 /// A tensor data buffer of `bytes` was sized for a fresh tensor (pool reuse
 /// in an InferenceScope still counts — it is an allocation the arena plan
@@ -53,7 +27,7 @@ inline AllocCell& CurrentCell() {
 inline void MemProfRecordTensorAlloc(int64_t bytes) {
   if (!ProfilerEnabled()) return;
   using internal_prof::CellAdd;
-  internal_memprof::AllocCell& cell = internal_memprof::CurrentCell();
+  internal_prof::StageCell& cell = internal_prof::CurrentStageCell();
   CellAdd(cell.tensor_allocs, 1);
   CellAdd(cell.tensor_bytes, bytes);
 }
@@ -62,7 +36,7 @@ inline void MemProfRecordTensorAlloc(int64_t bytes) {
 inline void MemProfRecordGradAlloc(int64_t bytes) {
   if (!ProfilerEnabled()) return;
   using internal_prof::CellAdd;
-  internal_memprof::AllocCell& cell = internal_memprof::CurrentCell();
+  internal_prof::StageCell& cell = internal_prof::CurrentStageCell();
   CellAdd(cell.grad_allocs, 1);
   CellAdd(cell.grad_bytes, bytes);
 }
@@ -70,31 +44,8 @@ inline void MemProfRecordGradAlloc(int64_t bytes) {
 /// One node (result + parents + backward closure) was attached to the tape.
 inline void MemProfRecordTapeNode() {
   if (!ProfilerEnabled()) return;
-  internal_prof::CellAdd(internal_memprof::CurrentCell().tape_nodes, 1);
+  internal_prof::CellAdd(internal_prof::CurrentStageCell().tape_nodes, 1);
 }
-
-/// Per-phase allocation totals summed over threads.
-struct MemProfPhaseStats {
-  int64_t tensor_allocs = 0;
-  int64_t tensor_bytes = 0;
-  int64_t grad_allocs = 0;
-  int64_t grad_bytes = 0;
-  int64_t tape_nodes = 0;
-};
-
-struct MemProfSnapshot {
-  MemProfPhaseStats phases[kNumProfPhases];
-  int64_t peak_rss_bytes = 0;     // 0 when the platform offers no reading
-  int64_t current_rss_bytes = 0;  // 0 when the platform offers no reading
-
-  MemProfPhaseStats Total() const;
-};
-
-/// Aggregates all thread tables plus an RSS sample.
-MemProfSnapshot TakeMemProfSnapshot();
-
-/// Zeroes every thread's allocation table (RSS is OS state and stays).
-void ResetMemProf();
 
 /// Peak resident set size from the OS (VmHWM on Linux, getrusage fallback);
 /// 0 when unavailable.

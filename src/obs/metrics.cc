@@ -189,13 +189,27 @@ MetricsRegistry::Impl* MetricsRegistry::impl() const {
 
 namespace {
 
-// One registered name must stay one metric kind across the process.
-template <typename OwnMap, typename OtherMapA, typename OtherMapB>
-void CheckKindUnique(const std::string& name, const OwnMap&,
-                     const OtherMapA& other_a, const OtherMapB& other_b) {
-  WIDEN_CHECK(other_a.find(name) == other_a.end() &&
-              other_b.find(name) == other_b.end())
-      << "metric '" << name << "' already registered with a different kind";
+// Find-or-create in `own` (`make` builds a new metric; the constructors are
+// private to the registry). One registered name must stay one metric kind,
+// with one help string, across the process.
+template <typename OwnMap, typename OtherMapA, typename OtherMapB,
+          typename Make>
+auto* FindOrCreate(const std::string& name, const std::string& help,
+                   OwnMap& own, const OtherMapA& other_a,
+                   const OtherMapB& other_b, Make make) {
+  auto it = own.find(name);
+  if (it == own.end()) {
+    WIDEN_CHECK(other_a.find(name) == other_a.end() &&
+                other_b.find(name) == other_b.end())
+        << "metric '" << name << "' already registered with a different kind";
+    it = own.emplace(name, make()).first;
+    return it->second.get();
+  }
+  const std::string& registered = it->second->help();
+  WIDEN_CHECK(help.empty() || registered.empty() || help == registered)
+      << "metric '" << name << "' already registered with a different help "
+      << "string: '" << registered << "' vs '" << help << "'";
+  return it->second.get();
 }
 
 }  // namespace
@@ -204,43 +218,32 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const std::string& help) {
   Impl* im = impl();
   std::lock_guard<std::mutex> lock(im->mu);
-  auto it = im->counters.find(name);
-  if (it == im->counters.end()) {
-    CheckKindUnique(name, im->counters, im->gauges, im->histograms);
-    it = im->counters
-             .emplace(name, std::unique_ptr<Counter>(new Counter(name, help)))
-             .first;
-  }
-  return it->second.get();
+  return FindOrCreate(name, help, im->counters, im->gauges, im->histograms,
+                      [&] {
+                        return std::unique_ptr<Counter>(
+                            new Counter(name, help));
+                      });
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const std::string& help) {
   Impl* im = impl();
   std::lock_guard<std::mutex> lock(im->mu);
-  auto it = im->gauges.find(name);
-  if (it == im->gauges.end()) {
-    CheckKindUnique(name, im->gauges, im->counters, im->histograms);
-    it = im->gauges
-             .emplace(name, std::unique_ptr<Gauge>(new Gauge(name, help)))
-             .first;
-  }
-  return it->second.get();
+  return FindOrCreate(name, help, im->gauges, im->counters, im->histograms,
+                      [&] {
+                        return std::unique_ptr<Gauge>(new Gauge(name, help));
+                      });
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& help) {
   Impl* im = impl();
   std::lock_guard<std::mutex> lock(im->mu);
-  auto it = im->histograms.find(name);
-  if (it == im->histograms.end()) {
-    CheckKindUnique(name, im->histograms, im->counters, im->gauges);
-    it = im->histograms
-             .emplace(name,
-                      std::unique_ptr<Histogram>(new Histogram(name, help)))
-             .first;
-  }
-  return it->second.get();
+  return FindOrCreate(name, help, im->histograms, im->counters, im->gauges,
+                      [&] {
+                        return std::unique_ptr<Histogram>(
+                            new Histogram(name, help));
+                      });
 }
 
 namespace {

@@ -25,7 +25,6 @@
 #define WIDEN_OBS_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -197,7 +196,9 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Find-or-create by name. Registering one name as two different metric
-  /// kinds is a programming error and aborts.
+  /// kinds, or with two different non-empty help strings, is a programming
+  /// error and aborts. An empty `help` is a plain lookup: it matches
+  /// whatever help the metric was registered with.
   Counter* GetCounter(const std::string& name, const std::string& help);
   Gauge* GetGauge(const std::string& name, const std::string& help);
   Histogram* GetHistogram(const std::string& name, const std::string& help);
@@ -229,66 +230,6 @@ class MetricsRegistry {
 /// (non-decreasing in `le` order) and end in a +Inf bucket equal to
 /// `<name>_count`. Returns the first violation as InvalidArgument.
 Status ValidatePrometheusText(const std::string& text);
-
-/// Times its scope and records the elapsed MICROSECONDS into `hist`.
-/// With metrics disabled, no clock is read at all.
-/// For scopes cheaper than a clock read (sub-microsecond), use
-/// SampledLatencyTimer instead — two steady_clock reads per scope would cost
-/// more than the work being measured.
-class ScopedLatencyTimer {
- public:
-  explicit ScopedLatencyTimer(Histogram* hist)
-      : hist_(MetricsEnabled() ? hist : nullptr) {
-    if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedLatencyTimer() {
-    if (hist_ != nullptr) {
-      hist_->Record(std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count());
-    }
-  }
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// ScopedLatencyTimer that clocks only one in `SampleEvery` scopes per
-/// thread, for hot scopes whose own cost is comparable to a clock read
-/// (e.g. a short random walk). The histogram converges to the same
-/// distribution from an unbiased 1-in-N sample; its TotalCount() counts
-/// sampled scopes, not all scopes — pair it with a Counter when the exact
-/// call count matters.
-template <int SampleEvery>
-class SampledLatencyTimer {
-  static_assert(SampleEvery > 0 && (SampleEvery & (SampleEvery - 1)) == 0,
-                "SampleEvery must be a power of two");
-
- public:
-  explicit SampledLatencyTimer(Histogram* hist) : hist_(nullptr) {
-    thread_local unsigned tick = 0;
-    if (MetricsEnabled() && (tick++ & (SampleEvery - 1)) == 0) {
-      hist_ = hist;
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~SampledLatencyTimer() {
-    if (hist_ != nullptr) {
-      hist_->Record(std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count());
-    }
-  }
-  SampledLatencyTimer(const SampledLatencyTimer&) = delete;
-  SampledLatencyTimer& operator=(const SampledLatencyTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace widen::obs
 

@@ -16,19 +16,6 @@
 
 namespace widen::obs {
 
-const char* ProfPhaseName(ProfPhase phase) {
-  switch (phase) {
-    case ProfPhase::kOther: return "other";
-    case ProfPhase::kSampling: return "sampling";
-    case ProfPhase::kForward: return "forward";
-    case ProfPhase::kBackward: return "backward";
-    case ProfPhase::kOptimizer: return "optimizer";
-    case ProfPhase::kServeCold: return "serve_cold";
-    case ProfPhase::kServeWarm: return "serve_warm";
-  }
-  return "unknown";
-}
-
 const char* ProfOpName(ProfOp op) {
   switch (op) {
     case ProfOp::kMatMul: return "MatMul";
@@ -109,6 +96,20 @@ Registry& GetRegistry() {
   return *registry;
 }
 
+// Sums `read(table)` over every registered thread table.
+template <typename T, typename Read>
+T SumTables(Read read) {
+  T total{};
+  Registry& reg = GetRegistry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  for (const ThreadProfTable* table : reg.tables) read(*table, total);
+  return total;
+}
+
+int64_t Load(const std::atomic<int64_t>& cell) {
+  return cell.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 ThreadProfTable& GetThreadTable() {
@@ -122,41 +123,12 @@ ThreadProfTable& GetThreadTable() {
   return *table;
 }
 
-ProfPhase& CurrentPhaseRef() {
-  thread_local ProfPhase phase = ProfPhase::kOther;
-  return phase;
+Stage& CurrentStageRef() {
+  thread_local Stage stage = Stage::kOther;
+  return stage;
 }
-
-namespace {
-
-// Innermost live phase scope on this thread, for self-time accounting.
-thread_local ScopedProfPhase* t_current_scope = nullptr;
-
-}  // namespace
 
 }  // namespace internal_prof
-
-ScopedProfPhase::ScopedProfPhase(ProfPhase phase)
-    : active_(ProfilerEnabled()) {
-  if (!active_) return;
-  phase_ = phase;
-  prev_phase_ = internal_prof::CurrentPhaseRef();
-  internal_prof::CurrentPhaseRef() = phase;
-  parent_ = internal_prof::t_current_scope;
-  internal_prof::t_current_scope = this;
-  start_ns_ = internal_prof::ProfNowNs();
-}
-
-ScopedProfPhase::~ScopedProfPhase() {
-  if (!active_) return;
-  const int64_t elapsed = internal_prof::ProfNowNs() - start_ns_;
-  internal_prof::CellAdd(
-      internal_prof::GetThreadTable().phases[static_cast<int>(phase_)].wall_ns,
-      elapsed - child_ns_);
-  if (parent_ != nullptr) parent_->child_ns_ += elapsed;
-  internal_prof::t_current_scope = parent_;
-  internal_prof::CurrentPhaseRef() = prev_phase_;
-}
 
 Profiler& Profiler::Get() {
   static Profiler* const profiler = new Profiler();
@@ -175,43 +147,42 @@ void Profiler::Reset() {
   auto& reg = internal_prof::GetRegistry();
   std::lock_guard<std::mutex> lock(reg.mu);
   for (internal_prof::ThreadProfTable* table : reg.tables) {
-    for (auto& per_phase : table->ops) {
-      for (internal_prof::OpCell& c : per_phase) {
-        c.calls.store(0, std::memory_order_relaxed);
-        c.flops.store(0, std::memory_order_relaxed);
-        c.bytes.store(0, std::memory_order_relaxed);
-        c.wall_ns.store(0, std::memory_order_relaxed);
+    // Every cell is a relaxed atomic and the table holds nothing else, so
+    // zeroing in place is a fresh table (writers keep their pointers).
+    for (auto& per_stage : table->ops) {
+      for (internal_prof::OpCell& c : per_stage) {
+        for (auto* v : {&c.calls, &c.flops, &c.bytes, &c.wall_ns}) {
+          v->store(0, std::memory_order_relaxed);
+        }
       }
     }
-    for (internal_prof::PhaseCell& c : table->phases) {
-      c.wall_ns.store(0, std::memory_order_relaxed);
-      c.parallel_calls.store(0, std::memory_order_relaxed);
-      c.parallel_chunks.store(0, std::memory_order_relaxed);
-      c.parallel_inline.store(0, std::memory_order_relaxed);
+    for (internal_prof::StageCell& c : table->stages) {
+      for (auto* v : {&c.wall_ns, &c.parallel_calls, &c.parallel_chunks,
+                      &c.parallel_inline, &c.tensor_allocs, &c.tensor_bytes,
+                      &c.grad_allocs, &c.grad_bytes, &c.tape_nodes}) {
+        v->store(0, std::memory_order_relaxed);
+      }
     }
   }
-  ResetMemProf();
 }
 
-Profiler::OpTotals Profiler::Totals(ProfOp op, ProfPhase phase) const {
-  OpTotals totals;
-  auto& reg = internal_prof::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const internal_prof::ThreadProfTable* table : reg.tables) {
-    const internal_prof::OpCell& c =
-        table->ops[static_cast<int>(op)][static_cast<int>(phase)];
-    totals.calls += c.calls.load(std::memory_order_relaxed);
-    totals.flops += c.flops.load(std::memory_order_relaxed);
-    totals.bytes += c.bytes.load(std::memory_order_relaxed);
-    totals.wall_ns += c.wall_ns.load(std::memory_order_relaxed);
-  }
-  return totals;
+Profiler::OpTotals Profiler::Totals(ProfOp op, Stage stage) const {
+  using internal_prof::Load;
+  return internal_prof::SumTables<OpTotals>(
+      [&](const internal_prof::ThreadProfTable& table, OpTotals& t) {
+        const internal_prof::OpCell& c =
+            table.ops[static_cast<int>(op)][static_cast<int>(stage)];
+        t.calls += Load(c.calls);
+        t.flops += Load(c.flops);
+        t.bytes += Load(c.bytes);
+        t.wall_ns += Load(c.wall_ns);
+      });
 }
 
 Profiler::OpTotals Profiler::Totals(ProfOp op) const {
   OpTotals totals;
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    const OpTotals t = Totals(op, static_cast<ProfPhase>(p));
+  for (int s = 0; s < kNumStages; ++s) {
+    const OpTotals t = Totals(op, static_cast<Stage>(s));
     totals.calls += t.calls;
     totals.flops += t.flops;
     totals.bytes += t.bytes;
@@ -220,15 +191,26 @@ Profiler::OpTotals Profiler::Totals(ProfOp op) const {
   return totals;
 }
 
-int64_t Profiler::PhaseWallNs(ProfPhase phase) const {
-  int64_t total = 0;
-  auto& reg = internal_prof::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const internal_prof::ThreadProfTable* table : reg.tables) {
-    total += table->phases[static_cast<int>(phase)].wall_ns.load(
-        std::memory_order_relaxed);
-  }
-  return total;
+Profiler::StageTotals Profiler::Totals(Stage stage) const {
+  using internal_prof::Load;
+  return internal_prof::SumTables<StageTotals>(
+      [&](const internal_prof::ThreadProfTable& table, StageTotals& t) {
+        const internal_prof::StageCell& c =
+            table.stages[static_cast<int>(stage)];
+        t.wall_ns += Load(c.wall_ns);
+        t.parallel_calls += Load(c.parallel_calls);
+        t.parallel_chunks += Load(c.parallel_chunks);
+        t.parallel_inline += Load(c.parallel_inline);
+        t.tensor_allocs += Load(c.tensor_allocs);
+        t.tensor_bytes += Load(c.tensor_bytes);
+        t.grad_allocs += Load(c.grad_allocs);
+        t.grad_bytes += Load(c.grad_bytes);
+        t.tape_nodes += Load(c.tape_nodes);
+      });
+}
+
+int64_t Profiler::PhaseWallNs(Stage stage) const {
+  return Totals(stage).wall_ns;
 }
 
 namespace {
@@ -276,10 +258,10 @@ std::string JsonNum(double v) {
   return std::string(buf);
 }
 
-// One aggregated (op, phase) row plus its roofline-derived rates.
+// One aggregated (op, stage) row plus its roofline-derived rates.
 struct OpRow {
   ProfOp op;
-  ProfPhase phase;
+  Stage stage;
   Profiler::OpTotals t;
   double wall_ms = 0.0;
   double gflops = 0.0;   // achieved GFLOP/s over the op's own wall time
@@ -291,11 +273,11 @@ struct OpRow {
 std::vector<OpRow> CollectRows(const Profiler& prof, double ridge) {
   std::vector<OpRow> rows;
   for (int o = 0; o < kNumProfOps; ++o) {
-    for (int p = 0; p < kNumProfPhases; ++p) {
+    for (int s = 0; s < kNumStages; ++s) {
       OpRow row;
       row.op = static_cast<ProfOp>(o);
-      row.phase = static_cast<ProfPhase>(p);
-      row.t = prof.Totals(row.op, row.phase);
+      row.stage = static_cast<Stage>(s);
+      row.t = prof.Totals(row.op, row.stage);
       if (row.t.calls == 0) continue;
       row.wall_ms = static_cast<double>(row.t.wall_ns) / 1e6;
       if (row.t.wall_ns > 0) {
@@ -324,7 +306,6 @@ double Profiler::RidgeFlopsPerByte() const { return PeakGflops() / PeakGbs(); }
 std::string Profiler::DumpJson() const {
   const double ridge = RidgeFlopsPerByte();
   const std::vector<OpRow> rows = CollectRows(*this, ridge);
-  const MemProfSnapshot mem = TakeMemProfSnapshot();
 
   std::ostringstream out;
   out << "{\n  \"schema_version\": 1,\n  \"roofline\": {"
@@ -345,39 +326,33 @@ std::string Profiler::DumpJson() const {
     out << "},\n";
   }
 
+  // Per-stage rows, under the report's "phases"/"phase" keys.
   out << "  \"phases\": [";
   bool first = true;
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    const ProfPhase phase = static_cast<ProfPhase>(p);
-    const int64_t wall_ns = PhaseWallNs(phase);
-    int64_t pf_calls = 0, pf_chunks = 0, pf_inline = 0;
-    {
-      auto& reg = internal_prof::GetRegistry();
-      std::lock_guard<std::mutex> lock(reg.mu);
-      for (const internal_prof::ThreadProfTable* table : reg.tables) {
-        const internal_prof::PhaseCell& c = table->phases[p];
-        pf_calls += c.parallel_calls.load(std::memory_order_relaxed);
-        pf_chunks += c.parallel_chunks.load(std::memory_order_relaxed);
-        pf_inline += c.parallel_inline.load(std::memory_order_relaxed);
-      }
-    }
-    const MemProfPhaseStats& alloc = mem.phases[p];
-    if (wall_ns == 0 && pf_calls == 0 && pf_inline == 0 &&
-        alloc.tensor_allocs == 0 && alloc.grad_allocs == 0 &&
-        alloc.tape_nodes == 0) {
+  StageTotals total;
+  for (int s = 0; s < kNumStages; ++s) {
+    const Stage stage = static_cast<Stage>(s);
+    const StageTotals t = Totals(stage);
+    total.tensor_allocs += t.tensor_allocs;
+    total.tensor_bytes += t.tensor_bytes;
+    total.grad_allocs += t.grad_allocs;
+    total.grad_bytes += t.grad_bytes;
+    total.tape_nodes += t.tape_nodes;
+    if (t.wall_ns == 0 && t.parallel_calls == 0 && t.parallel_inline == 0 &&
+        t.tensor_allocs == 0 && t.grad_allocs == 0 && t.tape_nodes == 0) {
       continue;
     }
-    out << (first ? "\n" : ",\n") << "    {\"phase\": \""
-        << ProfPhaseName(phase) << "\""
-        << ", \"wall_ms\": " << JsonNum(static_cast<double>(wall_ns) / 1e6)
-        << ", \"parallel_calls\": " << pf_calls
-        << ", \"parallel_chunks\": " << pf_chunks
-        << ", \"parallel_inline\": " << pf_inline
-        << ", \"tensor_allocs\": " << alloc.tensor_allocs
-        << ", \"tensor_alloc_bytes\": " << alloc.tensor_bytes
-        << ", \"grad_allocs\": " << alloc.grad_allocs
-        << ", \"grad_alloc_bytes\": " << alloc.grad_bytes
-        << ", \"tape_nodes\": " << alloc.tape_nodes << "}";
+    out << (first ? "\n" : ",\n") << "    {\"phase\": \"" << StageName(stage)
+        << "\""
+        << ", \"wall_ms\": " << JsonNum(static_cast<double>(t.wall_ns) / 1e6)
+        << ", \"parallel_calls\": " << t.parallel_calls
+        << ", \"parallel_chunks\": " << t.parallel_chunks
+        << ", \"parallel_inline\": " << t.parallel_inline
+        << ", \"tensor_allocs\": " << t.tensor_allocs
+        << ", \"tensor_alloc_bytes\": " << t.tensor_bytes
+        << ", \"grad_allocs\": " << t.grad_allocs
+        << ", \"grad_alloc_bytes\": " << t.grad_bytes
+        << ", \"tape_nodes\": " << t.tape_nodes << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "],\n";
@@ -386,7 +361,7 @@ std::string Profiler::DumpJson() const {
   first = true;
   for (const OpRow& row : rows) {
     out << (first ? "\n" : ",\n") << "    {\"op\": \"" << ProfOpName(row.op)
-        << "\", \"phase\": \"" << ProfPhaseName(row.phase) << "\""
+        << "\", \"phase\": \"" << StageName(row.stage) << "\""
         << ", \"calls\": " << row.t.calls << ", \"flops\": " << row.t.flops
         << ", \"bytes\": " << row.t.bytes
         << ", \"wall_ms\": " << JsonNum(row.wall_ms)
@@ -399,14 +374,13 @@ std::string Profiler::DumpJson() const {
   }
   out << (first ? "" : "\n  ") << "],\n";
 
-  const MemProfPhaseStats total = mem.Total();
   // The serve layer keeps this gauge current; 0 when no store exists.
   WIDEN_METRIC_GAUGE(store_bytes, "widen_serve_store_resident_bytes",
-                     "Bytes held by EmbeddingStore entries (rows + indexing "
-                     "overhead)");
+                     "Approximate heap bytes held by the versioned embedding "
+                     "store (rows + indexing overhead)");
   out << "  \"memory\": {"
-      << "\"peak_rss_bytes\": " << mem.peak_rss_bytes
-      << ", \"current_rss_bytes\": " << mem.current_rss_bytes
+      << "\"peak_rss_bytes\": " << ReadPeakRssBytes()
+      << ", \"current_rss_bytes\": " << ReadCurrentRssBytes()
       << ", \"embedding_store_resident_bytes\": "
       << static_cast<int64_t>(store_bytes->Value())
       << ", \"tensor_allocs\": " << total.tensor_allocs
@@ -423,16 +397,16 @@ std::string Profiler::FormatTopOps(int max_rows) const {
   std::ostringstream out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-20s %-10s %10s %10s %9s %8s %8s  %s\n", "op", "phase",
+                "%-20s %-12s %10s %10s %9s %8s %8s  %s\n", "op", "stage",
                 "calls", "wall_ms", "GFLOP/s", "GB/s", "AI", "bound");
   out << line;
-  out << std::string(88, '-') << "\n";
+  out << std::string(90, '-') << "\n";
   int emitted = 0;
   for (const OpRow& row : rows) {
     if (emitted++ >= max_rows) break;
     std::snprintf(line, sizeof(line),
-                  "%-20s %-10s %10lld %10.3f %9.3f %8.3f %8.3f  %s\n",
-                  ProfOpName(row.op), ProfPhaseName(row.phase),
+                  "%-20s %-12s %10lld %10.3f %9.3f %8.3f %8.3f  %s\n",
+                  ProfOpName(row.op), StageName(row.stage),
                   static_cast<long long>(row.t.calls), row.wall_ms,
                   row.gflops, row.gbs, row.ai,
                   row.compute_bound ? "compute" : "memory");

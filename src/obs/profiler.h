@@ -1,12 +1,13 @@
 // Op-level roofline profiler (DESIGN.md §12).
 //
 // When enabled, every tensor op records (calls, FLOPs, bytes moved, wall
-// time) into a per-thread table indexed by (op, phase). Phases — sampling,
-// forward, backward, optimizer, serve-cold, serve-warm — are set by RAII
-// ScopedProfPhase scopes in the training loop and the serving path; the
-// autograd engine forces the backward phase while it runs tape closures, so
-// backward kernels are attributed correctly no matter where Backward() is
-// called from.
+// time) into a per-thread table indexed by (op, stage). The stage is the
+// innermost enclosing StageScope whose stage feeds the profiler (obs/stage.h:
+// sampling, forward, backward, optimizer, cold_encode, embed); ops outside
+// every such scope land in Stage::kOther. Backward() opens the backward stage
+// itself, so tape closures are attributed correctly no matter where it is
+// called from. The same per-thread table carries each stage's self wall
+// time, ParallelForGrid fan-out and the memprof allocation counters.
 //
 // FLOP and byte counts are ANALYTIC, not measured: each op site passes the
 // closed-form operation count for its shapes (e.g. 2mnk per MatMul pass) and
@@ -20,34 +21,21 @@
 //
 // Cost model: with the profiler disabled (the default) every hook is one
 // relaxed atomic load and a branch — no clock read, no allocation, no TLS
-// write. Enabled hooks read the steady clock twice and bump plain
-// single-writer cells in a thread-local table (registered once per thread,
-// same pattern as the trace buffers), so recording threads never contend.
+// write. Enabled hooks read the obs clock twice and bump plain single-writer
+// cells in a thread-local table (registered once per thread, same pattern as
+// the trace buffers), so recording threads never contend.
 
 #ifndef WIDEN_OBS_PROFILER_H_
 #define WIDEN_OBS_PROFILER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 
+#include "obs/stage.h"
 #include "util/status.h"
 
 namespace widen::obs {
-
-/// Execution phase a profiled op is attributed to.
-enum class ProfPhase : uint8_t {
-  kOther = 0,    // anything outside an explicit phase scope
-  kSampling,     // neighbor / walk / state sampling
-  kForward,      // training forward passes (incl. refresh sweeps)
-  kBackward,     // tape closure execution (set by Backward() itself)
-  kOptimizer,    // optimizer step
-  kServeCold,    // serving-path cold encodes (store miss fan-out)
-  kServeWarm,    // serving-path warm work (store hits, assembly)
-};
-inline constexpr int kNumProfPhases = 7;
-const char* ProfPhaseName(ProfPhase phase);
 
 /// Profiled tensor ops (one enumerator per instrumented kernel family).
 enum class ProfOp : uint8_t {
@@ -93,9 +81,7 @@ std::string GetProfileAnnotation(const std::string& key);
 
 namespace internal_prof {
 
-extern std::atomic<bool> g_profiler_enabled;  // default: false
-
-// One (op, phase) accumulator. Written by its owning thread only, with
+// One (op, stage) accumulator. Written by its owning thread only, with
 // relaxed stores (no RMW, so no lock prefix on the hot path); readers sum
 // tables across threads with relaxed loads — monitoring-grade, exact once
 // writers are quiescent.
@@ -106,18 +92,24 @@ struct OpCell {
   std::atomic<int64_t> wall_ns{0};
 };
 
-// Per-phase accumulators that are not tied to one op: phase self wall time
-// (nested scopes subtract their children) and ParallelForGrid fan-out.
-struct PhaseCell {
+// Per-stage accumulators that are not tied to one op: stage self wall time
+// (nested profiler stages subtract their children), ParallelForGrid fan-out
+// and the memprof allocation counters (obs/memprof.h).
+struct StageCell {
   std::atomic<int64_t> wall_ns{0};
   std::atomic<int64_t> parallel_calls{0};
   std::atomic<int64_t> parallel_chunks{0};
   std::atomic<int64_t> parallel_inline{0};
+  std::atomic<int64_t> tensor_allocs{0};
+  std::atomic<int64_t> tensor_bytes{0};
+  std::atomic<int64_t> grad_allocs{0};
+  std::atomic<int64_t> grad_bytes{0};
+  std::atomic<int64_t> tape_nodes{0};
 };
 
 struct ThreadProfTable {
-  OpCell ops[kNumProfOps][kNumProfPhases];
-  PhaseCell phases[kNumProfPhases];
+  OpCell ops[kNumProfOps][kNumStages];
+  StageCell stages[kNumStages];
 };
 
 // This thread's table; registers it with the global profiler on first use.
@@ -130,46 +122,14 @@ inline void CellAdd(std::atomic<int64_t>& cell, int64_t delta) {
              std::memory_order_relaxed);
 }
 
-ProfPhase& CurrentPhaseRef();
+// The stage ops on this thread are attributed to; set by StageScope.
+Stage& CurrentStageRef();
 
-inline int64_t ProfNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+inline StageCell& CurrentStageCell() {
+  return GetThreadTable().stages[static_cast<int>(CurrentStageRef())];
 }
 
 }  // namespace internal_prof
-
-/// True while op hooks are recording.
-inline bool ProfilerEnabled() {
-  return internal_prof::g_profiler_enabled.load(std::memory_order_relaxed);
-}
-
-/// The phase ops on this thread are currently attributed to.
-inline ProfPhase CurrentProfPhase() {
-  return internal_prof::CurrentPhaseRef();
-}
-
-/// RAII phase scope. Sets the calling thread's phase; on destruction records
-/// the scope's SELF wall time (elapsed minus enclosed child scopes) to the
-/// phase, so nested scopes (serve-warm around serve-cold) never double-count.
-/// A no-op (no TLS touch, no clock read) while the profiler is disabled.
-class ScopedProfPhase {
- public:
-  explicit ScopedProfPhase(ProfPhase phase);
-  ~ScopedProfPhase();
-
-  ScopedProfPhase(const ScopedProfPhase&) = delete;
-  ScopedProfPhase& operator=(const ScopedProfPhase&) = delete;
-
- private:
-  bool active_;
-  ProfPhase phase_ = ProfPhase::kOther;
-  ProfPhase prev_phase_ = ProfPhase::kOther;
-  ScopedProfPhase* parent_ = nullptr;
-  int64_t start_ns_ = 0;
-  int64_t child_ns_ = 0;
-};
 
 /// RAII op hook, constructed at the top of each instrumented kernel with the
 /// analytic FLOP/byte counts for its shapes. Counts are credited on
@@ -184,16 +144,15 @@ class ScopedOpProfile {
     using internal_prof::CellAdd;
     cell_ = &internal_prof::GetThreadTable()
                  .ops[static_cast<int>(op)]
-                     [static_cast<int>(CurrentProfPhase())];
+                     [static_cast<int>(internal_prof::CurrentStageRef())];
     CellAdd(cell_->calls, 1);
     CellAdd(cell_->flops, flops);
     CellAdd(cell_->bytes, bytes);
-    start_ns_ = internal_prof::ProfNowNs();
+    start_ns_ = MonotonicNanos();
   }
   ~ScopedOpProfile() {
     if (cell_ != nullptr) {
-      internal_prof::CellAdd(cell_->wall_ns,
-                             internal_prof::ProfNowNs() - start_ns_);
+      internal_prof::CellAdd(cell_->wall_ns, MonotonicNanos() - start_ns_);
     }
   }
 
@@ -205,14 +164,12 @@ class ScopedOpProfile {
   int64_t start_ns_ = 0;
 };
 
-/// Records one ParallelForGrid dispatch against the current phase
+/// Records one ParallelForGrid dispatch against the current stage
 /// (chunks == 0 means the call ran inline as a single chunk).
 inline void ProfileParallelDispatch(int64_t chunks) {
   if (!ProfilerEnabled()) return;
   using internal_prof::CellAdd;
-  internal_prof::PhaseCell& cell =
-      internal_prof::GetThreadTable()
-          .phases[static_cast<int>(CurrentProfPhase())];
+  internal_prof::StageCell& cell = internal_prof::CurrentStageCell();
   if (chunks == 0) {
     CellAdd(cell.parallel_inline, 1);
   } else {
@@ -235,7 +192,8 @@ class Profiler {
   void Start();
   /// Stops recording; accumulated tables remain available for export.
   void Stop();
-  /// Zeroes every table on every registered thread.
+  /// Zeroes every table on every registered thread (op, stage and memprof
+  /// counters alike).
   void Reset();
 
   struct OpTotals {
@@ -245,12 +203,27 @@ class Profiler {
     int64_t wall_ns = 0;
   };
 
-  /// Totals for one op summed over phases and threads (tests, reports).
+  /// Per-stage counters summed over threads.
+  struct StageTotals {
+    int64_t wall_ns = 0;  // self time
+    int64_t parallel_calls = 0;
+    int64_t parallel_chunks = 0;
+    int64_t parallel_inline = 0;
+    int64_t tensor_allocs = 0;
+    int64_t tensor_bytes = 0;
+    int64_t grad_allocs = 0;
+    int64_t grad_bytes = 0;
+    int64_t tape_nodes = 0;
+  };
+
+  /// Totals for one op summed over stages and threads (tests, reports).
   OpTotals Totals(ProfOp op) const;
-  /// Totals for one (op, phase) summed over threads.
-  OpTotals Totals(ProfOp op, ProfPhase phase) const;
-  /// Phase self wall time summed over threads, in nanoseconds.
-  int64_t PhaseWallNs(ProfPhase phase) const;
+  /// Totals for one (op, stage) summed over threads.
+  OpTotals Totals(ProfOp op, Stage stage) const;
+  /// Stage counters summed over threads.
+  StageTotals Totals(Stage stage) const;
+  /// Stage self wall time summed over threads, in nanoseconds.
+  int64_t PhaseWallNs(Stage stage) const;
 
   /// Roofline ridge point in FLOPs/byte: ops with a higher arithmetic
   /// intensity are compute-bound, lower memory-bound. Defaults to
@@ -265,12 +238,12 @@ class Profiler {
   static constexpr double kDefaultPeakGflops = 8.0;
   static constexpr double kDefaultPeakGbs = 10.0;
 
-  /// Full JSON report: per-(op, phase) rows with derived GFLOP/s, GB/s,
-  /// arithmetic intensity and roofline class, per-phase wall/fan-out/alloc
-  /// stats, and the memprof memory section.
+  /// Full JSON report: per-(op, stage) rows with derived GFLOP/s, GB/s,
+  /// arithmetic intensity and roofline class, per-stage wall/fan-out/alloc
+  /// stats ("phases"), and the memory section.
   std::string DumpJson() const;
 
-  /// Human-readable table of the heaviest (op, phase) rows by wall time.
+  /// Human-readable table of the heaviest (op, stage) rows by wall time.
   std::string FormatTopOps(int max_rows = 12) const;
 
   /// Writes DumpJson() to `path`.

@@ -1,22 +1,16 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
+#include "obs/stage.h"
 #include "util/logging.h"
 
 namespace widen::obs {
 
 namespace {
 
-double NowSeconds() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch)
-      .count();
-}
+double NowSeconds() { return static_cast<double>(MonotonicNanos()) / 1e9; }
 
 // Largest bucket whose inclusive upper bound is <= threshold: counting
 // records as "good" up to this bucket makes a threshold placed exactly on a

@@ -70,20 +70,6 @@ void AppendEvent(const Event& event) {
   buffer.events.push_back(event);
 }
 
-int64_t NowMicros() {
-  // steady_clock since a process-wide epoch so all threads share one axis.
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
-
-int& ThreadSpanDepth() {
-  thread_local int depth = 0;
-  return depth;
-}
-
 }  // namespace internal_trace
 
 TraceRecorder& TraceRecorder::Get() {
@@ -92,7 +78,6 @@ TraceRecorder& TraceRecorder::Get() {
 }
 
 void TraceRecorder::Start() {
-  internal_trace::NowMicros();  // pin the epoch before the first span
   internal_trace::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 

@@ -1,18 +1,18 @@
 // Chrome trace_event recording (DESIGN.md §11).
 //
-// TraceSpan is an RAII scope that, while tracing is enabled, records one
-// complete ("ph":"X") event with the span's name, category, start timestamp,
-// and duration onto a thread-local buffer. Buffers register themselves with
-// the process-wide TraceRecorder, which can export everything as Chrome
-// trace_event JSON — load the file in chrome://tracing or Perfetto to see
-// the per-thread nesting of epochs, batches, kernel calls, and serve
-// requests on a shared time axis.
+// While tracing is enabled, every StageScope (obs/stage.h) whose stage has a
+// trace category records one complete ("ph":"X") event with the stage's
+// name, category, start timestamp, and duration onto a thread-local buffer.
+// Buffers register themselves with the process-wide TraceRecorder, which can
+// export everything as Chrome trace_event JSON — load the file in
+// chrome://tracing or Perfetto to see the per-thread nesting of epochs,
+// batches and serve requests. Timestamps are microseconds on the obs clock
+// (MonotonicMicros), the axis flight records and RequestContext stamps use.
 //
-// Cost model: when tracing is disabled (the default) constructing a span is
-// one relaxed atomic load and a branch — no clock read, no allocation.
-// Enabled spans read the steady clock twice and append one POD event to a
-// pre-grown thread-local vector. Timestamps are microseconds since the
-// recorder's epoch (steady_clock, so spans from all threads share one axis).
+// Cost model: when tracing is disabled (the default) a scope pays one
+// relaxed atomic load and a branch for this sink — no clock read, no
+// allocation. Enabled, it appends one POD event to a pre-grown thread-local
+// vector.
 //
 // Enable programmatically with TraceRecorder::Get().Start(), or for CLIs via
 // the WIDEN_TRACE environment variable / --trace_out flags, which write the
@@ -22,7 +22,6 @@
 #define WIDEN_OBS_TRACE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -35,24 +34,18 @@ namespace internal_trace {
 extern std::atomic<bool> g_trace_enabled;  // default: false
 
 struct Event {
-  const char* name;  // static string — spans take string literals
+  const char* name;  // static strings from the stage table
   const char* category;
-  int64_t start_us;  // since recorder epoch
+  int64_t start_us;  // MonotonicMicros axis
   int64_t duration_us;
-  int depth;  // nesting depth within the thread, for tests
 };
 
 // Appends to this thread's buffer (registers the buffer on first use).
 void AppendEvent(const Event& event);
 
-int64_t NowMicros();
-
-// Thread-local span nesting depth; maintained only while tracing.
-int& ThreadSpanDepth();
-
 }  // namespace internal_trace
 
-/// True while spans are being recorded.
+/// True while trace events are being recorded.
 inline bool TraceEnabled() {
   return internal_trace::g_trace_enabled.load(std::memory_order_relaxed);
 }
@@ -86,50 +79,19 @@ class TraceRecorder {
   /// of waiting for exit. OK no-op when no exit path is installed.
   Status Flush();
 
-  /// Buffers stop growing past this many events in total; spans beyond the
-  /// cap are dropped and counted (widen_trace_dropped_spans_total and
+  /// Buffers stop growing past this many events in total; events beyond
+  /// the cap are dropped and counted (widen_trace_dropped_spans_total and
   /// DroppedCount()). Runtime-settable backstop for long-running servers;
   /// raising the cap resumes recording, it never truncates what is buffered.
   static void SetMaxEvents(size_t max_events);
   static size_t MaxEvents();
   static constexpr size_t kDefaultMaxEvents = 1u << 20;
 
-  /// Spans dropped at the cap since process start (not reset by Clear()).
+  /// Events dropped at the cap since process start (not reset by Clear()).
   size_t DroppedCount() const;
 
  private:
   TraceRecorder() = default;
-};
-
-/// RAII trace scope. `name` and `category` must be string literals (or
-/// otherwise outlive the recorder) — spans store the pointers.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name, const char* category = "widen")
-      : name_(nullptr) {
-    if (TraceEnabled()) {
-      name_ = name;
-      category_ = category;
-      start_us_ = internal_trace::NowMicros();
-      depth_ = internal_trace::ThreadSpanDepth()++;
-    }
-  }
-  ~TraceSpan() {
-    if (name_ != nullptr) {
-      --internal_trace::ThreadSpanDepth();
-      internal_trace::AppendEvent(
-          {name_, category_, start_us_,
-           internal_trace::NowMicros() - start_us_, depth_});
-    }
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_;
-  const char* category_ = nullptr;
-  int64_t start_us_ = 0;
-  int depth_ = 0;
 };
 
 /// Installs the WIDEN_TRACE handling for a CLI: if `trace_out` (from a
@@ -139,14 +101,5 @@ class TraceSpan {
 void InstallTraceExportOnExit(const std::string& trace_out);
 
 }  // namespace widen::obs
-
-// Spans a scope with an auto-named local. Usage:
-//   WIDEN_TRACE_SPAN("train_epoch");
-//   WIDEN_TRACE_SPAN("embed", "serve");
-#define WIDEN_TRACE_SPAN(...)                         \
-  ::widen::obs::TraceSpan WIDEN_TRACE_CONCAT_(        \
-      widen_trace_span_, __LINE__)(__VA_ARGS__)
-#define WIDEN_TRACE_CONCAT_(a, b) WIDEN_TRACE_CONCAT2_(a, b)
-#define WIDEN_TRACE_CONCAT2_(a, b) a##b
 
 #endif  // WIDEN_OBS_TRACE_H_

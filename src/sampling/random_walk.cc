@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
+#include "obs/stage.h"
 #include "util/logging.h"
 
 namespace widen::sampling {
@@ -11,14 +12,10 @@ DeepNeighborSequence SampleDeepWalk(const graph::GraphView& graph,
                                     graph::NodeId target, int64_t length,
                                     Rng& rng) {
   WIDEN_CHECK_GE(length, 0);
-  WIDEN_METRIC_HISTOGRAM(walk_us, "widen_sampling_walk_us",
-                         "Wall time per deep random walk (microseconds, "
-                         "1-in-16 sampled)");
   WIDEN_METRIC_COUNTER(steps, "widen_sampling_walk_steps_total",
                        "Steps taken across all deep random walks");
-  // A walk is a handful of neighbor lookups — cheaper than a clock read —
-  // so only every 16th walk is timed; the steps counter stays exact.
-  obs::SampledLatencyTimer<16> timer(walk_us);
+  // Times 1 in 16 walks (obs/stage.h); the steps counter stays exact.
+  obs::StageScope stage(obs::Stage::kDeepWalk);
   DeepNeighborSequence seq;
   seq.target = target;
   seq.nodes.reserve(static_cast<size_t>(length));

@@ -7,8 +7,7 @@
 
 #include "core/encoder.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "tensor/inference.h"
 #include "tensor/ops.h"
 #include "util/string_util.h"
@@ -18,11 +17,10 @@ namespace {
 
 namespace T = widen::tensor;
 
-// Serving metrics, resolved once. Histograms back the p50/p99 the serve CLI
-// prints; the hit/miss counters mirror the session's internal atomics so the
-// store's behaviour shows up in --metrics_out dumps.
+// Serving metrics, resolved once (the Embed latency histogram is the embed
+// stage's sink, obs/stage.h). The hit/miss counters mirror the session's
+// internal atomics so the store's behaviour shows up in --metrics_out dumps.
 struct ServeMetrics {
-  obs::Histogram* embed_us;
   obs::Histogram* embed_batch_nodes;
   obs::Counter* base_hits;
   obs::Counter* store_hits;
@@ -34,9 +32,6 @@ struct ServeMetrics {
 
   static const ServeMetrics& Get() {
     static const ServeMetrics m = {
-        obs::MetricsRegistry::Get().GetHistogram(
-            "widen_serve_embed_us",
-            "Wall time per InferenceSession::Embed call (microseconds)"),
         obs::MetricsRegistry::Get().GetHistogram(
             "widen_serve_embed_batch_nodes",
             "Nodes requested per Embed call"),
@@ -59,35 +54,11 @@ struct ServeMetrics {
             "Store rows invalidated per ingest (k-hop BFS size)"),
         obs::MetricsRegistry::Get().GetGauge(
             "widen_serve_store_resident_bytes",
-            "Approximate heap bytes held by the versioned embedding store"),
+            "Approximate heap bytes held by the versioned embedding store "
+            "(rows + indexing overhead)"),
     };
     return m;
   }
-};
-
-/// RepSource over the checkpoint's frozen embedding store: valid base rows
-/// are served, everything else (invalid base rows, delta-added nodes) falls
-/// back to the fresh projection — exactly the CacheRepSource the model uses
-/// over a cache whose base rows are valid and whose new rows are not, which
-/// is what makes session cold encodes bitwise-equal to EmbedNodes.
-class BaseRepSource final : public core::RepSource {
- public:
-  BaseRepSource(const T::Tensor* reps, const std::vector<bool>* valid,
-                int64_t embedding_dim)
-      : reps_(reps), valid_(valid), embedding_dim_(embedding_dim) {}
-
-  const float* Lookup(graph::NodeId v) const override {
-    if (v < 0 || v >= static_cast<graph::NodeId>(valid_->size()) ||
-        !(*valid_)[static_cast<size_t>(v)]) {
-      return nullptr;
-    }
-    return reps_->data() + static_cast<int64_t>(v) * embedding_dim_;
-  }
-
- private:
-  const T::Tensor* reps_;
-  const std::vector<bool>* valid_;
-  int64_t embedding_dim_;
 };
 
 }  // namespace
@@ -143,6 +114,9 @@ InferenceSession::InferenceSession(core::ServingWeights weights,
                                    const core::WidenConfig& config,
                                    const SessionOptions& options)
     : weights_(std::move(weights)),
+      base_reps_(weights_.cache_reps.defined() ? weights_.cache_reps.data()
+                                               : nullptr,
+                 &base_valid_, weights_.params.embedding_dim()),
       config_(config),
       options_(options),
       view_(base_graph),
@@ -184,11 +158,9 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
 StatusOr<tensor::Tensor> InferenceSession::Embed(
     const std::vector<graph::NodeId>& nodes, EmbedReport* report) {
   const ServeMetrics& metrics = ServeMetrics::Get();
-  WIDEN_TRACE_SPAN("embed", "serve");
-  // Warm phase covers the whole call; cold encodes re-scope themselves below
-  // (including on pool threads, which carry no inherited phase).
-  obs::ScopedProfPhase phase_scope(obs::ProfPhase::kServeWarm);
-  obs::ScopedLatencyTimer embed_timer(metrics.embed_us);
+  // Covers the whole call; cold encodes open their own stage below
+  // (including on pool threads, which inherit no stage).
+  obs::StageScope stage(obs::Stage::kEmbed);
   metrics.embed_batch_nodes->Record(static_cast<double>(nodes.size()));
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
   const int64_t n = view_.num_nodes();
@@ -209,9 +181,9 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
     int64_t store_hits = 0;
     for (size_t i = 0; i < nodes.size(); ++i) {
       const graph::NodeId v = nodes[i];
-      if (HasBaseRep(v)) {
-        std::memcpy(out.mutable_data() + static_cast<int64_t>(i) * d,
-                    BaseRepRow(v), static_cast<size_t>(d) * sizeof(float));
+      if (const float* base = base_reps_.Lookup(v)) {
+        std::memcpy(out.mutable_data() + static_cast<int64_t>(i) * d, base,
+                    static_cast<size_t>(d) * sizeof(float));
         ++base_hits;
         continue;
       }
@@ -232,24 +204,19 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
     store_hits_ += store_hits;
     metrics.base_hits->Add(base_hits);
     metrics.store_hits->Add(store_hits);
-    if (report != nullptr) {
-      report->base_hits = base_hits;
-      report->store_hits = store_hits;
-    }
+    if (report != nullptr) report->store_hits = store_hits;
   }
 
   if (!cold.empty()) {
-    WIDEN_TRACE_SPAN("cold_encode", "serve");
     metrics.store_misses->Add(static_cast<int64_t>(cold.size()));
-    const BaseRepSource reps(&weights_.cache_reps, &base_valid_, d);
     // Rows are disjoint and every cold node draws from its own RNG stream
     // (EvalSeedForNode), so fan-out order cannot change any bit.
     auto encode_one = [&](size_t k) {
-      obs::ScopedProfPhase cold_scope(obs::ProfPhase::kServeCold);
+      obs::StageScope cold_stage(obs::Stage::kColdEncode);
       T::InferenceScope inference;
       const graph::NodeId v = nodes[cold[k]];
-      T::Tensor mean =
-          core::EncodeColdMean(view_, weights_.params, config_, v, &reps);
+      T::Tensor mean = core::EncodeColdMean(view_, weights_.params, config_, v,
+                                            &base_reps_);
       std::memcpy(out.mutable_data() + static_cast<int64_t>(cold[k]) * d,
                   mean.data(), static_cast<size_t>(d) * sizeof(float));
     };
@@ -287,7 +254,7 @@ StatusOr<std::vector<int32_t>> InferenceSession::Predict(
 
 StatusOr<uint64_t> InferenceSession::Ingest(const GraphDelta& delta) {
   const ServeMetrics& metrics = ServeMetrics::Get();
-  WIDEN_TRACE_SPAN("ingest", "serve");
+  obs::StageScope stage(obs::Stage::kIngest);
   std::unique_lock<std::shared_mutex> graph_lock(graph_mu_);
   WIDEN_ASSIGN_OR_RETURN(std::vector<graph::NodeId> touched,
                          view_.Apply(delta));

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "core/encoder.h"
 #include "core/widen_config.h"
 #include "serve/embedding_store.h"
 #include "serve/graph_delta.h"
@@ -65,12 +66,11 @@ class InferenceSession {
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
 
-  /// Per-call composition of one Embed: how many rows came from the frozen
-  /// rep table, the warm LRU store, and fresh encodes. The deltas behind the
-  /// cumulative Stats counters, exposed so request tracing can attribute a
-  /// batch's store behavior to the requests it served.
+  /// Per-call composition of one Embed: how many rows came from the warm LRU
+  /// store and from fresh encodes. The deltas behind the cumulative Stats
+  /// counters, exposed so request tracing can attribute a batch's store
+  /// behavior to the requests it served.
   struct EmbedReport {
-    int64_t base_hits = 0;
     int64_t store_hits = 0;
     int64_t cold_encodes = 0;
   };
@@ -118,19 +118,15 @@ class InferenceSession {
                    const core::WidenConfig& config,
                    const SessionOptions& options);
 
-  /// True when `v` has a frozen training-time representation.
-  bool HasBaseRep(graph::NodeId v) const {
-    return v < static_cast<graph::NodeId>(base_valid_.size()) &&
-           base_valid_[static_cast<size_t>(v)];
-  }
-  const float* BaseRepRow(graph::NodeId v) const {
-    return weights_.cache_reps.data() + static_cast<int64_t>(v) *
-                                            weights_.params.embedding_dim();
-  }
   int64_t InvalidationHops() const;
 
   core::ServingWeights weights_;
   std::vector<bool> base_valid_;  // cache_valid unpacked; empty if no store
+  // The frozen training-time rows: served verbatim on a hit, and the stored
+  // representations cold encodes read — the same RepSource the model
+  // encodes with over a cache whose base rows are valid and whose new rows
+  // are not, which makes session cold encodes bitwise-equal to EmbedNodes.
+  core::RepSource base_reps_;
   core::WidenConfig config_;
   SessionOptions options_;
 

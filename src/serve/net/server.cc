@@ -17,7 +17,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "serve/request_context.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -257,7 +257,7 @@ StatusOr<uint64_t> NetServer::Reload() {
     return Status::FailedPrecondition(
         "server was started without a reload function");
   }
-  WIDEN_TRACE_SPAN("reload", "serve");
+  obs::StageScope stage(obs::Stage::kReload);
   WIDEN_ASSIGN_OR_RETURN(std::shared_ptr<InferenceSession> fresh,
                          options_.reload_fn());
   if (fresh == nullptr) {

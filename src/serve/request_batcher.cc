@@ -5,9 +5,8 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -176,9 +175,6 @@ void RequestBatcher::Enqueue(Pending pending) {
     ++stats_.requests;
     if (invalid.ok() && !shutting_down_) {
       pending.enqueued_at = std::chrono::steady_clock::now();
-      if (pending.context != nullptr && obs::MetricsEnabled()) {
-        pending.context->enqueued_us = obs::MonotonicMicros();
-      }
       pending_nodes_ += static_cast<int64_t>(pending.nodes.size());
       BatcherMetrics::Get().queue_depth->Set(
           static_cast<double>(pending_nodes_));
@@ -225,7 +221,10 @@ void RequestBatcher::WorkerLoop() {
     // batch, poisoning nothing.
     std::shared_ptr<InferenceSession> session = provider_();
     const int64_t num_nodes = session != nullptr ? session->num_nodes() : 0;
+    // The one clock read of batch formation: deadline checks, linger times,
+    // the requests' batch_formed_us and the run_batch stage all use it.
     const auto now = std::chrono::steady_clock::now();
+    const int64_t formed_ns = obs::ToMonotonicNanos(now);
     std::vector<Pending> batch;
     std::vector<std::pair<Pending, Status>> rejected;
     int64_t batch_nodes = 0;
@@ -281,14 +280,12 @@ void RequestBatcher::WorkerLoop() {
       stats_.max_batch = std::max(stats_.max_batch, batch_nodes);
       metrics.batch_nodes->Record(static_cast<double>(batch_nodes));
       if (obs::MetricsEnabled()) {
-        const auto formed = std::chrono::steady_clock::now();
-        const int64_t formed_us = obs::MonotonicMicros();
         for (Pending& p : batch) {
           metrics.linger_us->Record(
-              std::chrono::duration<double, std::micro>(formed - p.enqueued_at)
+              std::chrono::duration<double, std::micro>(now - p.enqueued_at)
                   .count());
           if (p.context != nullptr) {
-            p.context->batch_formed_us = formed_us;
+            p.context->batch_formed_us = formed_ns / 1000;
             p.context->batch_nodes = batch_nodes;
           }
         }
@@ -300,7 +297,7 @@ void RequestBatcher::WorkerLoop() {
       Fail(pending, std::move(status));
     }
     if (!batch.empty()) {
-      RunBatch(session, std::move(batch));
+      RunBatch(session, std::move(batch), formed_ns);
     }
     if (options_.post_batch_hook_for_test) options_.post_batch_hook_for_test();
     lock.lock();
@@ -320,8 +317,8 @@ void RequestBatcher::WorkerLoop() {
 }
 
 void RequestBatcher::RunBatch(const std::shared_ptr<InferenceSession>& session,
-                              std::vector<Pending> batch) {
-  WIDEN_TRACE_SPAN("run_batch", "serve");
+                              std::vector<Pending> batch, int64_t formed_ns) {
+  obs::StageScope stage(obs::Stage::kRunBatch, formed_ns);
   std::vector<graph::NodeId> all;
   for (const Pending& p : batch) {
     all.insert(all.end(), p.nodes.begin(), p.nodes.end());
@@ -345,7 +342,6 @@ void RequestBatcher::RunBatch(const std::shared_ptr<InferenceSession>& session,
     for (const Pending& p : batch) {
       if (p.context == nullptr) continue;
       p.context->encode_us = encode_us;
-      p.context->base_hits = report.base_hits;
       p.context->store_hits = report.store_hits;
       p.context->cold_encodes = report.cold_encodes;
     }

@@ -82,8 +82,8 @@ class RequestBatcher {
     /// batch has not formed by then. max() = no deadline.
     std::chrono::steady_clock::time_point deadline =
         std::chrono::steady_clock::time_point::max();
-    /// Optional trace context; when set, the batcher stamps enqueue, batch
-    /// formation, encode duration, and batch composition into it. Must stay
+    /// Optional trace context; when set, the batcher stamps batch formation,
+    /// encode duration, and batch composition into it. Must stay
     /// valid until the request's callback runs (NetServer keeps it alive in
     /// the completion lambda); stamps are skipped with metrics disabled.
     RequestContext* context = nullptr;
@@ -154,8 +154,10 @@ class RequestBatcher {
 
   void Enqueue(Pending pending);
   void WorkerLoop();
+  /// `formed_ns` is the batch's formation stamp (obs::MonotonicNanos axis):
+  /// the run_batch stage starts there.
   void RunBatch(const std::shared_ptr<InferenceSession>& session,
-                std::vector<Pending> batch);
+                std::vector<Pending> batch, int64_t formed_ns);
   static void Fail(Pending& pending, Status status);
 
   SessionProvider provider_;

@@ -4,9 +4,9 @@
 // NetServer creates one RequestContext per Embed/Predict wire request (when
 // tracing is on) and hands a raw pointer down through
 // RequestBatcher::SubmitOptions; each layer stamps the stage it owns —
-// admission on the I/O thread, enqueue and batch formation under the
-// batcher lock, encode around the session call — and the completion path
-// folds the stamps into one FlightRecord.
+// admission on the I/O thread, batch formation under the batcher lock,
+// encode around the session call — and the completion path folds the stamps
+// into one FlightRecord.
 //
 // Thread-safety: plain (non-atomic) fields are deliberate. A context passes
 // between threads only through the batcher's queue (mutex) and the
@@ -31,16 +31,15 @@ struct RequestContext {
   uint8_t trace_flags = 0;
   uint8_t op = 0;  // protocol NetOp
 
-  // Stage stamps, microseconds on the obs::MonotonicMicros axis.
+  // Stage stamps, microseconds on the obs::MonotonicMicros axis (the axis of
+  // trace events too).
   int64_t admitted_us = 0;      // I/O thread accepted the frame
-  int64_t enqueued_us = 0;      // entered the batcher queue
   int64_t batch_formed_us = 0;  // picked into a batch by the worker
   int64_t encode_us = 0;        // DURATION of the session Embed call
   int64_t replied_us = 0;       // response handed back to the I/O loop
 
   // What the batch that served this request looked like.
   int64_t batch_nodes = 0;
-  int64_t base_hits = 0;
   int64_t store_hits = 0;
   int64_t cold_encodes = 0;
 };

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/stage.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 #include "util/file_util.h"
@@ -307,14 +308,12 @@ const float* ShardedGraphView::feature_row(graph::NodeId v) const {
                        "Remote feature reads that had to touch the mmap");
   WIDEN_METRIC_COUNTER(evictions, "widen_storage_halo_evictions_total",
                        "Halo cache rows evicted to admit a new row");
-  WIDEN_METRIC_HISTOGRAM(fill_us, "widen_storage_halo_miss_fill_us",
-                         "Latency of halo cache miss fills (sampled 1/32)");
   if (const float* cached = halo_cache_->Get(v)) {
     hits->Increment();
     return cached;
   }
   misses->Increment();
-  obs::SampledLatencyTimer<32> timer(fill_us);
+  obs::StageScope stage(obs::Stage::kHaloFill);
   const int64_t evictions_before = halo_cache_->stats().evictions;
   // Fill via pread, not through the mapping: a pointer read here would
   // fault the kernel's whole fault-around window (64 KB) of the remote

@@ -3,7 +3,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "obs/profiler.h"
+#include "obs/stage.h"
 
 namespace widen::tensor {
 namespace {
@@ -39,7 +39,7 @@ std::vector<TensorImpl*> TopologicalOrder(TensorImpl* root) {
 
 void Backward(const Tensor& root) {
   WIDEN_CHECK_EQ(root.size(), 1) << "Backward() root must be a scalar";
-  obs::ScopedProfPhase phase_scope(obs::ProfPhase::kBackward);
+  obs::StageScope stage(obs::Stage::kBackward);
   TensorImpl* root_impl = root.impl_ptr().get();
   root_impl->EnsureGrad();
   root_impl->grad[0] = 1.0f;

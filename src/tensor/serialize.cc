@@ -7,6 +7,7 @@
 #include <set>
 
 #include "obs/metrics.h"
+#include "obs/stage.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 #include "util/file_util.h"
@@ -279,11 +280,9 @@ StatusOr<Bundle> LoadBody(CrcFileReader& reader, const std::string& path) {
 }  // namespace
 
 Status SaveBundle(const std::string& path, const Bundle& bundle) {
-  WIDEN_METRIC_HISTOGRAM(save_us, "widen_ckpt_save_us",
-                         "Wall time per bundle save (microseconds)");
   WIDEN_METRIC_COUNTER(bytes_written, "widen_ckpt_bytes_written_total",
                        "Bytes written to checkpoint bundles");
-  obs::ScopedLatencyTimer timer(save_us);
+  obs::StageScope stage(obs::Stage::kBundleSave);
   WIDEN_RETURN_IF_ERROR(ValidateNames(bundle));
   WIDEN_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Open(path));
   CrcFileWriter writer{file.stream()};
@@ -331,14 +330,12 @@ Status SaveBundle(const std::string& path, const Bundle& bundle) {
 }
 
 StatusOr<Bundle> LoadBundle(const std::string& path) {
-  WIDEN_METRIC_HISTOGRAM(load_us, "widen_ckpt_load_us",
-                         "Wall time per bundle load (microseconds)");
   WIDEN_METRIC_COUNTER(bytes_read, "widen_ckpt_bytes_read_total",
                        "Bytes read from checkpoint bundles");
   WIDEN_METRIC_COUNTER(crc_verify_us, "widen_ckpt_crc_verify_us_total",
                        "Time spent verifying checkpoint CRCs on bulk reads "
                        "(microseconds)");
-  obs::ScopedLatencyTimer timer(load_us);
+  obs::StageScope stage(obs::Stage::kBundleLoad);
   FilePtr file(std::fopen(path.c_str(), "rb"));
   if (file == nullptr) {
     return Status::IOError(StrCat("cannot open '", path, "'"));

@@ -5,7 +5,7 @@
 
 #include "core/checkpoint.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "train/metrics.h"
 #include "util/file_util.h"
 #include "util/logging.h"
@@ -117,7 +117,7 @@ StatusOr<int64_t> ResumeFromLatest(core::WidenModel& model,
                          "(microseconds)");
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
     const std::string path = JoinPath(directory, *it);
-    WIDEN_TRACE_SPAN("ckpt_restore", "ckpt");
+    obs::StageScope stage(obs::Stage::kCkptRestore);
     StopWatch watch;
     const Status status = core::LoadTrainingState(model, path);
     if (status.ok()) {
@@ -159,14 +159,10 @@ StatusOr<core::WidenTrainReport> TrainWithCheckpoints(
     }
     const std::string path =
         JoinPath(checkpoint.directory, CheckpointName(completed));
-    WIDEN_METRIC_HISTOGRAM(ckpt_save_us, "widen_ckpt_train_save_us",
-                           "Wall time per training-state checkpoint save "
-                           "(microseconds)");
     WIDEN_METRIC_COUNTER(ckpts_written, "widen_ckpt_written_total",
                          "Training-state checkpoints written");
     {
-      WIDEN_TRACE_SPAN("ckpt_save", "ckpt");
-      obs::ScopedLatencyTimer timer(ckpt_save_us);
+      obs::StageScope stage(obs::Stage::kCkptSave);
       save_status = core::SaveTrainingState(model, path);
     }
     if (!save_status.ok()) return;

@@ -17,6 +17,7 @@
 #include "obs/memprof.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/stage.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -244,6 +245,30 @@ TEST(MetricsRegistryTest, ResetAllZeroesButKeepsAddresses) {
   EXPECT_EQ(c->Value(), 1);
 }
 
+TEST(MetricsRegistryTest, EmptyHelpIsALookup) {
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  Counter* owner = registry.GetCounter("test_lookup_total", "owner help");
+  EXPECT_EQ(registry.GetCounter("test_lookup_total", ""), owner);
+  EXPECT_EQ(owner->help(), "owner help");
+}
+
+// One name, one # HELP line: a second site registering the same metric with
+// different help text is a bug that would otherwise surface only as whichever
+// site happened to register first.
+TEST(MetricsRegistryDeathTest, ReRegisteringWithDifferentHelpAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  registry.GetCounter("test_help_counter_total", "first help");
+  registry.GetGauge("test_help_gauge", "first help");
+  registry.GetHistogram("test_help_us", "first help");
+  EXPECT_DEATH(registry.GetCounter("test_help_counter_total", "second help"),
+               "different help string");
+  EXPECT_DEATH(registry.GetGauge("test_help_gauge", "second help"),
+               "different help string");
+  EXPECT_DEATH(registry.GetHistogram("test_help_us", "second help"),
+               "different help string");
+}
+
 // ---------------------------------------------------------------------------
 // Exporters.
 // ---------------------------------------------------------------------------
@@ -319,16 +344,14 @@ TEST(TraceTest, ChromeJsonRoundTripsThroughParser) {
   recorder.Clear();
   recorder.Start();
   {
-    WIDEN_TRACE_SPAN("outer", "test");
+    StageScope outer(Stage::kTrainEpoch);
     {
-      WIDEN_TRACE_SPAN("inner", "test");
+      StageScope inner(Stage::kSupervisedBatches);
     }
   }
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([] {
-      WIDEN_TRACE_SPAN("worker", "test");
-    });
+    threads.emplace_back([] { StageScope worker(Stage::kRunBatch); });
   }
   for (std::thread& t : threads) t.join();
   recorder.Stop();
@@ -352,7 +375,17 @@ TEST(TraceTest, ChromeJsonRoundTripsThroughParser) {
     ASSERT_NE(e.Find("dur"), nullptr);
     EXPECT_GE(e.Find("ts")->number_value(), 0.0);
     EXPECT_GE(e.Find("dur")->number_value(), 0.0);
-    if (e.Find("name")->string_value() == "worker") ++workers;
+    // Each event carries its stage's table name and category.
+    const std::string name = e.Find("name")->string_value();
+    const std::string cat = e.Find("cat")->string_value();
+    if (name == "run_batch") {
+      EXPECT_EQ(cat, "serve");
+      ++workers;
+    } else {
+      EXPECT_TRUE(name == "train_epoch" || name == "supervised_batches")
+          << name;
+      EXPECT_EQ(cat, "train");
+    }
   }
   EXPECT_EQ(workers, 2);
 
@@ -370,13 +403,30 @@ TEST(TraceTest, NestedSpansRecordTheirDepth) {
   recorder.Clear();
   recorder.Start();
   {
-    TraceSpan outer("depth_outer", "test");
-    TraceSpan inner("depth_inner", "test");
+    StageScope outer(Stage::kTrainEpoch);
+    StageScope inner(Stage::kRefreshSweep);
   }
   recorder.Stop();
-  // Inner closes first; both landed. Depth is visible through export order
-  // only, but EventCount proves both were kept.
-  EXPECT_EQ(recorder.EventCount(), 2u);
+  // Inner closes first; both landed, and the nesting shows on the shared
+  // time axis: the inner event lies inside the outer one.
+  ASSERT_EQ(recorder.EventCount(), 2u);
+  const Json root = ParseJsonOrDie(recorder.ExportChromeJson());
+  double outer_ts = -1, outer_end = -1, inner_ts = -1, inner_end = -1;
+  for (const Json& e : root.Find("traceEvents")->array_items()) {
+    const double ts = e.Find("ts")->number_value();
+    const double end = ts + e.Find("dur")->number_value();
+    if (e.Find("name")->string_value() == "train_epoch") {
+      outer_ts = ts;
+      outer_end = end;
+    } else {
+      inner_ts = ts;
+      inner_end = end;
+    }
+  }
+  EXPECT_GE(inner_ts, outer_ts);
+  EXPECT_LE(inner_end, outer_end);
+  EXPECT_GE(outer_ts, 0.0);
+  EXPECT_LE(outer_end, static_cast<double>(MonotonicMicros()));
   recorder.Clear();
 }
 
@@ -393,7 +443,12 @@ TEST(DisabledPathTest, NoAllocationsAndNoRecording) {
   c->Add(1);
   g->Set(4.0);
   h->Record(1.0);
+  { StageScope resolve(Stage::kEmbed); }  // registers the stage histogram
+  Histogram* embed_us = registry.GetHistogram("widen_serve_embed_us", "");
+  const int64_t embed_count = embed_us->TotalCount();
   TraceRecorder::Get().Stop();  // tracing off
+  Profiler::Get().Stop();       // profiler off
+  const size_t trace_events = TraceRecorder::Get().EventCount();
 
   SetMetricsEnabled(false);
   const int64_t allocations_before =
@@ -402,8 +457,9 @@ TEST(DisabledPathTest, NoAllocationsAndNoRecording) {
     c->Increment();
     g->Set(9.0);
     h->Record(123.0);
-    ScopedLatencyTimer timer(h);
-    WIDEN_TRACE_SPAN("disabled", "test");
+    // Every stage, so every sink kind (trace, profiler, histogram) is
+    // priced with its switch off.
+    for (const StageInfo& info : kStages) StageScope scope(info.stage);
   }
   const int64_t allocations_after =
       g_allocations.load(std::memory_order_relaxed);
@@ -413,19 +469,20 @@ TEST(DisabledPathTest, NoAllocationsAndNoRecording) {
   EXPECT_EQ(c->Value(), 1);            // frozen while disabled
   EXPECT_DOUBLE_EQ(g->Value(), 4.0);
   EXPECT_EQ(h->TotalCount(), 1);
+  EXPECT_EQ(embed_us->TotalCount(), embed_count);
+  EXPECT_EQ(TraceRecorder::Get().EventCount(), trace_events);
 }
 
 TEST(DisabledPathTest, ProfilerHooksAreFreeAndRecordNothing) {
   Profiler& profiler = Profiler::Get();
   profiler.Stop();
   profiler.Reset();
-  ResetMemProf();
   ASSERT_FALSE(ProfilerEnabled());
 
   const int64_t allocations_before =
       g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 10000; ++i) {
-    ScopedProfPhase phase(ProfPhase::kForward);
+    StageScope stage(Stage::kForward);
     ScopedOpProfile op(ProfOp::kMatMul, 1000, 4000);
     ProfileParallelDispatch(4);
     MemProfRecordTensorAlloc(64);
@@ -437,11 +494,12 @@ TEST(DisabledPathTest, ProfilerHooksAreFreeAndRecordNothing) {
 
   EXPECT_EQ(allocations_after - allocations_before, 0);
   EXPECT_EQ(profiler.Totals(ProfOp::kMatMul).calls, 0);
-  EXPECT_EQ(profiler.PhaseWallNs(ProfPhase::kForward), 0);
-  const MemProfSnapshot mem = TakeMemProfSnapshot();
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    EXPECT_EQ(mem.phases[p].tensor_allocs, 0) << "phase " << p;
-    EXPECT_EQ(mem.phases[p].tape_nodes, 0) << "phase " << p;
+  EXPECT_EQ(profiler.PhaseWallNs(Stage::kForward), 0);
+  for (const StageInfo& info : kStages) {
+    const Profiler::StageTotals t = profiler.Totals(info.stage);
+    EXPECT_EQ(t.tensor_allocs, 0) << info.name;
+    EXPECT_EQ(t.tape_nodes, 0) << info.name;
+    EXPECT_EQ(t.parallel_chunks, 0) << info.name;
   }
 }
 
@@ -467,7 +525,6 @@ class ProfilerExactnessTest : public ::testing::Test {
   void TearDown() override {
     Profiler::Get().Stop();
     Profiler::Get().Reset();
-    ResetMemProf();
   }
 
   static T::Tensor Filled(int64_t rows, int64_t cols) {
@@ -506,12 +563,10 @@ TEST_F(ProfilerExactnessTest, MatMulBackwardCountsAreExactAndPhased) {
   EXPECT_EQ(totals.flops, 2 * m * n * k * passes);
   EXPECT_EQ(totals.bytes,
             4 * (passes * m * n + (k * n + 2 * m * k) + (m * k + 2 * k * n)));
-  // Backward() forces the backward phase on its own: the whole pass must be
-  // attributed there even though this test never opened a phase scope.
-  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, ProfPhase::kBackward).calls,
-            1);
-  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, ProfPhase::kOther).calls,
-            0);
+  // Backward() opens the backward stage on its own: the whole pass must be
+  // attributed there even though this test never opened a stage scope.
+  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, Stage::kBackward).calls, 1);
+  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, Stage::kOther).calls, 0);
 }
 
 TEST_F(ProfilerExactnessTest, SoftmaxRowsCountsAreExact) {
@@ -536,14 +591,38 @@ TEST_F(ProfilerExactnessTest, PhaseScopesAttributeOpsAndSelfTime) {
   T::Tensor a = Filled(m, k);
   T::Tensor b = Filled(k, n);
   {
-    ScopedProfPhase phase(ProfPhase::kSampling);
+    StageScope stage(Stage::kSampling);
     T::Tensor c = T::MatMul(a, b);
   }
-  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, ProfPhase::kSampling).calls,
-            1);
-  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, ProfPhase::kOther).calls,
-            0);
-  EXPECT_GT(Profiler::Get().PhaseWallNs(ProfPhase::kSampling), 0);
+  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, Stage::kSampling).calls, 1);
+  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, Stage::kOther).calls, 0);
+  EXPECT_GT(Profiler::Get().PhaseWallNs(Stage::kSampling), 0);
+
+  // Nested profiler stages: each op lands in the innermost stage, and the
+  // outer stage records SELF time, so the two never double-count the wall
+  // time both scopes span. Stages without a profiler sink (run_batch)
+  // change neither attribution nor self time.
+  const int64_t before_ns = MonotonicNanos();
+  {
+    StageScope outer(Stage::kEmbed);
+    StageScope trace_only(Stage::kRunBatch);
+    T::Tensor c = T::MatMul(a, b);
+    {
+      StageScope inner(Stage::kColdEncode);
+      T::Tensor d = T::MatMul(a, b);
+    }
+  }
+  const int64_t elapsed_ns = MonotonicNanos() - before_ns;
+  const Profiler& profiler = Profiler::Get();
+  EXPECT_EQ(profiler.Totals(ProfOp::kMatMul, Stage::kEmbed).calls, 1);
+  EXPECT_EQ(profiler.Totals(ProfOp::kMatMul, Stage::kColdEncode).calls, 1);
+  EXPECT_EQ(profiler.Totals(ProfOp::kMatMul, Stage::kRunBatch).calls, 0);
+  const int64_t outer_self = profiler.PhaseWallNs(Stage::kEmbed);
+  const int64_t inner_self = profiler.PhaseWallNs(Stage::kColdEncode);
+  EXPECT_GT(outer_self, 0);
+  EXPECT_GT(inner_self, 0);
+  EXPECT_LE(outer_self + inner_self, elapsed_ns);
+  EXPECT_EQ(profiler.PhaseWallNs(Stage::kRunBatch), 0);
 }
 
 TEST_F(ProfilerExactnessTest, DumpJsonParsesAndCarriesAnalyticFlops) {

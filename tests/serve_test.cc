@@ -23,10 +23,14 @@
 #include "datasets/synthetic.h"
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
+#include "obs/profiler.h"
+#include "obs/stage.h"
+#include "obs/trace.h"
 #include "serve/embedding_store.h"
 #include "serve/graph_delta.h"
 #include "serve/request_batcher.h"
 #include "tensor/inference.h"
+#include "util/json.h"
 
 namespace widen::serve {
 namespace {
@@ -419,6 +423,79 @@ TEST(InferenceSessionTest, ParallelColdFanOutMatchesSerial) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectRowsEqual(*a, *b);
+}
+
+// Cold encodes run under the cold_encode stage on whichever thread encodes
+// them, so fanning them out to the session's pool leaves no MatMul
+// unattributed.
+TEST(InferenceSessionTest, ProfilerAttributesPoolThreadColdEncodes) {
+  graph::HeteroGraph chain = ChainGraph(16, 6);
+  core::WidenConfig config = SmallConfig();
+  const std::string path =
+      WriteColdCheckpoint(chain, config, "serve_stage.wdnt");
+  SessionOptions options;
+  options.num_threads = 2;
+  auto session_or = InferenceSession::Load(path, &chain, config, options);
+  ASSERT_TRUE(session_or.ok());
+  std::vector<graph::NodeId> first, second;
+  for (graph::NodeId v = 0; v < 16; ++v) (v < 8 ? first : second).push_back(v);
+
+  obs::Profiler& profiler = obs::Profiler::Get();
+  profiler.Reset();
+  profiler.Start();
+  ASSERT_TRUE((*session_or)->Embed(first).ok());
+  ASSERT_TRUE((*session_or)->Embed(second).ok());
+  profiler.Stop();
+  const int64_t matmuls = profiler.Totals(obs::ProfOp::kMatMul).calls;
+  EXPECT_GT(matmuls, 0);
+  EXPECT_EQ(
+      profiler.Totals(obs::ProfOp::kMatMul, obs::Stage::kColdEncode).calls,
+      matmuls);
+  EXPECT_EQ(profiler.Totals(obs::ProfOp::kMatMul, obs::Stage::kOther).calls,
+            0);
+  EXPECT_GT(profiler.PhaseWallNs(obs::Stage::kColdEncode), 0);
+  profiler.Reset();
+}
+
+// Trace events and RequestContext stamps read one clock: the run_batch
+// event contains the batch's encode interval exactly as the context
+// records it.
+TEST(RequestBatcherTest, RunBatchEventContainsTheContextEncodeInterval) {
+  graph::HeteroGraph chain = ChainGraph(10, 6);
+  core::WidenConfig config = SmallConfig();
+  const std::string path =
+      WriteColdCheckpoint(chain, config, "serve_axis.wdnt");
+  auto session_or = InferenceSession::Load(path, &chain, config);
+  ASSERT_TRUE(session_or.ok());
+
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
+  recorder.Clear();
+  recorder.Start();
+  RequestContext context;
+  {
+    RequestBatcher batcher(session_or->get());
+    RequestBatcher::SubmitOptions submit;
+    submit.context = &context;
+    ASSERT_TRUE(batcher.SubmitEmbed({1, 2, 3}, submit).get().ok());
+  }  // joins the worker: the run_batch event is recorded
+  recorder.Stop();
+  auto trace = Json::Parse(recorder.ExportChromeJson());
+  recorder.Clear();
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+
+  EXPECT_EQ(context.batch_nodes, 3);
+  EXPECT_GE(context.encode_us, 0);
+  int run_batches = 0;
+  for (const Json& e : trace->Find("traceEvents")->array_items()) {
+    if (e.Find("name")->string_value() != "run_batch") continue;
+    ++run_batches;
+    const int64_t ts = e.Find("ts")->int_value();
+    const int64_t end = ts + e.Find("dur")->int_value();
+    EXPECT_LE(ts, context.batch_formed_us);
+    EXPECT_GE(end, context.batch_formed_us + context.encode_us);
+    EXPECT_LE(end, obs::MonotonicMicros());
+  }
+  EXPECT_EQ(run_batches, 1);
 }
 
 TEST(RequestBatcherTest, BatchedResultsAreIdenticalToUnbatched) {
