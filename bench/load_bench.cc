@@ -10,9 +10,12 @@
 //   closed loop — `--clients` connections (default 4), each pipelining a
 //     window of requests: offered load tracks capacity, measuring the
 //     saturated batch path.
-//   open loop — requests depart on a fixed `--qps` schedule and latency is
-//     measured FROM THE SCHEDULED DEPARTURE TICK, so a slow server is charged
-//     for the queueing it causes (no coordinated omission).
+//   open loop — the same `--clients` connections send on a fixed `--qps`
+//     schedule, and latency is measured FROM THE SCHEDULED DEPARTURE TICK,
+//     so a send that left late is charged for its wait. Each client sends,
+//     then waits for the reply before its next tick, so it keeps at most one
+//     request outstanding: the open loop never offers more than `--clients`
+//     requests at once and cannot build a queue in the server.
 //
 // In --spawn mode the harness also exercises the two lifecycle paths the
 // server guarantees lose nothing: a hot Reload() in the middle of the closed

@@ -67,8 +67,6 @@ RequestBatcher::RequestBatcher(SessionProvider provider,
                                const BatcherOptions& options)
     : provider_(std::move(provider)), options_(options) {
   WIDEN_CHECK(provider_ != nullptr);
-  WIDEN_CHECK_GT(options.max_batch_nodes, 0);
-  WIDEN_CHECK_GE(options.max_linger_micros, 0);
   worker_ = std::thread(&RequestBatcher::WorkerLoop, this);
 }
 
@@ -196,25 +194,6 @@ void RequestBatcher::WorkerLoop() {
                          [&] { return shutting_down_ || !pending_.empty(); });
     if (shutting_down_) break;
 
-    // Linger: give concurrent clients a moment to pile on before running a
-    // partial batch. Anchored at the FRONT request's enqueue time — the
-    // worker may be waking from a long RunBatch, and that wait already
-    // counts against the front request's linger budget. A pending deadline
-    // closer than the linger bound wakes the worker early so the batch forms
-    // while that request can still make it.
-    const auto linger_deadline =
-        pending_.front().enqueued_at +
-        std::chrono::microseconds(options_.max_linger_micros);
-    while (!shutting_down_ && pending_nodes_ < options_.max_batch_nodes) {
-      auto wake = linger_deadline;
-      for (const Pending& p : pending_) wake = std::min(wake, p.deadline);
-      if (std::chrono::steady_clock::now() >= wake) break;
-      if (work_available_.wait_until(lock, wake) == std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (shutting_down_) break;
-
     // Form the batch against the session it will ACTUALLY run on. Requests
     // validated at enqueue time may be out of range now (hot reload swapped
     // in a session over a smaller graph) — they fail typed, outside the
@@ -256,7 +235,7 @@ void RequestBatcher::WorkerLoop() {
         pending_.pop_front();
         continue;
       }
-      if (!batch.empty() && batch_nodes + next > options_.max_batch_nodes) {
+      if (!batch.empty() && batch_nodes + next > kMaxBatchNodes) {
         break;
       }
       batch_nodes += next;

@@ -1,27 +1,26 @@
 // Micro-batching front end for InferenceSession.
 //
 // Many client threads submit small Embed/Predict requests; a single worker
-// thread coalesces whatever is pending — up to `max_batch_nodes` nodes, or
-// whatever arrived within `max_linger_micros` of the OLDEST pending
-// request's enqueue time — into ONE session->Embed call and fans the result
-// rows back out through callbacks or futures. Batching changes throughput,
-// never bits: cold encodes draw from per-node RNG streams
-// (core::EvalSeedForNode) and the classifier head is row-independent, so a
-// batched answer is identical to the same request served alone.
+// thread batches while busy. Whenever it is free and the queue is not empty,
+// it forms a batch at once: it takes queued requests in order, up to
+// kMaxBatchNodes nodes, into ONE session->Embed call and fans the result
+// rows back out through callbacks or futures. Requests that arrive while a
+// batch runs wait in the queue and form the next batch, so under load the
+// queue fills batches; there is no timer. Batching changes throughput, never
+// bits: cold encodes draw from per-node RNG streams (core::EvalSeedForNode)
+// and the classifier head is row-independent, so a batched answer is
+// identical to the same request served alone.
 //
-// Latency contract: a request never waits in the queue longer than
-// `max_linger_micros` past its enqueue time before its batch is formed,
-// plus the unavoidable residency of at most one in-flight batch ahead of
-// it. The linger deadline is anchored at the front request's `enqueued_at`,
-// NOT at worker wake-up — after a busy RunBatch the worker may wake long
-// after the front request arrived, and re-anchoring there would stretch the
-// bound toward 2x.
+// Latency contract: a request waits only for the batches ahead of it — the
+// one in flight when it arrived and those formed from requests queued before
+// it. Queued requests are split between batches only at request boundaries;
+// a request larger than kMaxBatchNodes still runs whole, in a batch of its
+// own.
 //
-// Per-request deadlines: SubmitOptions.deadline propagates into the queue;
-// an expired request fails with kDeadlineExceeded at batch formation
-// instead of wasting a slot in the session call, and the worker wakes early
-// to form a batch when the earliest pending deadline is closer than the
-// linger bound.
+// Per-request deadlines: SubmitOptions.deadline propagates into the queue.
+// Deadlines expire when a batch forms: a request whose deadline has passed
+// by then fails with kDeadlineExceeded instead of taking a slot in the
+// session call.
 //
 // Hot reload: construct with a SessionProvider and every batch is formed
 // against — and runs on — the session the provider returns AT THAT MOMENT.
@@ -50,13 +49,6 @@
 namespace widen::serve {
 
 struct BatcherOptions {
-  /// Close a batch once this many nodes are pending (a single oversized
-  /// request still runs whole — requests are never split).
-  int64_t max_batch_nodes = 32;
-  /// How long the worker waits after the OLDEST pending request enqueued for
-  /// more requests to coalesce before running a partial batch.
-  int64_t max_linger_micros = 1000;
-
   /// Test-only: runs on the worker thread after each batch completes (outside
   /// the queue lock). Lets tests widen the RunBatch window deterministically
   /// to reproduce worker-busy interleavings.
@@ -69,6 +61,11 @@ struct BatcherOptions {
 
 class RequestBatcher {
  public:
+  /// A batch closes before the request that would take it past this many
+  /// nodes (a single larger request still runs whole — requests are never
+  /// split).
+  static constexpr int64_t kMaxBatchNodes = 32;
+
   /// Resolves the session each batch runs on. Called at submit time (for
   /// fast-fail validation) and once per batch at formation time. Must be
   /// thread-safe; returning null fails requests with kUnavailable.
@@ -143,8 +140,8 @@ class RequestBatcher {
   struct Pending {
     std::vector<graph::NodeId> nodes;
     bool predict = false;
-    // When the request entered the queue: anchors the linger bound and the
-    // linger-time histogram.
+    // When the request entered the queue: its queue wait, enqueue to batch
+    // formation, is what the linger-time histogram records.
     std::chrono::steady_clock::time_point enqueued_at;
     std::chrono::steady_clock::time_point deadline;
     RequestContext* context = nullptr;  // optional; see SubmitOptions

@@ -21,6 +21,7 @@
 #include "serve/net/client.h"
 #include "serve/net/protocol.h"
 #include "tensor/ops.h"
+#include "worker_gate.h"
 
 namespace widen::serve::net {
 namespace {
@@ -203,7 +204,6 @@ TEST(NetServerTest, ServesMixedTrafficBitwiseEqualToDirectSession) {
   std::shared_ptr<InferenceSession> session = LoadSession(path, &chain, config);
 
   ServerOptions options;
-  options.batcher.max_linger_micros = 200;
   auto server_or = NetServer::Start(session, options);
   ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
   NetServer& server = **server_or;
@@ -293,7 +293,6 @@ TEST(NetServerTest, ConcurrentClientsSurviveHotReloadAndGracefulDrain) {
       WriteColdCheckpoint(chain, config, "net_reload.wdnt");
 
   ServerOptions options;
-  options.batcher.max_linger_micros = 200;
   options.reload_fn = [&]() -> StatusOr<std::shared_ptr<InferenceSession>> {
     return LoadSession(path, &chain, config);
   };
@@ -388,12 +387,12 @@ TEST(NetServerTest, AdmissionControlFastFailsPastTheInflightBound) {
   const core::WidenConfig config = SmallConfig();
   const std::string path = WriteColdCheckpoint(chain, config, "net_adm.wdnt");
 
+  // The first request parks in the batch fan-out, before it completes, so
+  // it keeps its admission slot while the rest of the burst arrives.
+  testing::WorkerGate gate;
   ServerOptions options;
   options.max_inflight_requests = 1;
-  // A long linger parks the first request in the batcher, holding the
-  // admission slot while the rest arrive.
-  options.batcher.max_linger_micros = 100000;
-  options.batcher.max_batch_nodes = 1024;
+  options.batcher.fan_out_hook_for_test = [&gate](size_t) { gate.HoldOnce(); };
   auto server_or = NetServer::Start(LoadSession(path, &chain, config), options);
   ASSERT_TRUE(server_or.ok());
 
@@ -408,6 +407,9 @@ TEST(NetServerTest, AdmissionControlFastFailsPastTheInflightBound) {
   int ok = 0;
   int rejected = 0;
   for (int i = 0; i < kBurst; ++i) {
+    // Every later request is shed while the slot is held; then the first
+    // one is released and served.
+    if (i == kBurst - 1) gate.Open();
     NetResponse response;
     ASSERT_TRUE(client.Receive(&response).ok());
     if (response.code == StatusCode::kOk) {
@@ -417,10 +419,8 @@ TEST(NetServerTest, AdmissionControlFastFailsPastTheInflightBound) {
       ++rejected;
     }
   }
-  // At least the first request is served; at least one later one is shed
-  // while the slot is held. Exact counts depend on scheduling.
-  EXPECT_GE(ok, 1);
-  EXPECT_GE(rejected, 1);
+  EXPECT_EQ(ok, 1);
+  EXPECT_EQ(rejected, kBurst - 1);
   EXPECT_EQ((*server_or)->stats().overload_rejections, rejected);
 }
 
@@ -429,17 +429,32 @@ TEST(NetServerTest, WireDeadlineExpiresTypedInTheQueue) {
   const core::WidenConfig config = SmallConfig();
   const std::string path = WriteColdCheckpoint(chain, config, "net_ddl.wdnt");
 
+  // The worker stays held after an earlier request's batch for far longer
+  // than the 5 ms wire deadline below.
+  testing::WorkerGate gate;
   ServerOptions options;
-  options.batcher.max_linger_micros = 300000;  // far past the deadline below
-  options.batcher.max_batch_nodes = 1024;
+  options.batcher.post_batch_hook_for_test = [&gate] { gate.HoldOnce(); };
   auto server_or = NetServer::Start(LoadSession(path, &chain, config), options);
   ASSERT_TRUE(server_or.ok());
+  NetServer& server = **server_or;
 
-  auto client_or = NetClient::Connect("127.0.0.1", (*server_or)->port());
+  auto client_or = NetClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client_or.ok());
-  auto response = (*client_or)->Call(EmbedRequest(1, {2}, /*deadline_ms=*/5));
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->code, StatusCode::kDeadlineExceeded) << response->error;
+  NetClient& client = **client_or;
+  auto earlier = client.Call(EmbedRequest(1, {1}));
+  ASSERT_TRUE(earlier.ok()) << earlier.status().ToString();
+  EXPECT_EQ(earlier->code, StatusCode::kOk) << earlier->error;
+  gate.AwaitHeld();
+
+  ASSERT_TRUE(client.Send(EmbedRequest(2, {2}, /*deadline_ms=*/5)).ok());
+  // Admitted means its deadline is set; let it pass, then free the worker.
+  while (server.stats().requests < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate.Open();
+  NetResponse response;
+  ASSERT_TRUE(client.Receive(&response).ok());
+  EXPECT_EQ(response.id, 2u);
+  EXPECT_EQ(response.code, StatusCode::kDeadlineExceeded) << response.error;
 }
 
 }  // namespace

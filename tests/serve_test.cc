@@ -31,6 +31,7 @@
 #include "serve/request_batcher.h"
 #include "tensor/inference.h"
 #include "util/json.h"
+#include "worker_gate.h"
 
 namespace widen::serve {
 namespace {
@@ -508,8 +509,6 @@ TEST(RequestBatcherTest, BatchedResultsAreIdenticalToUnbatched) {
   ASSERT_TRUE(batched_or.ok());
 
   BatcherOptions options;
-  options.max_batch_nodes = 8;
-  options.max_linger_micros = 2000;
   RequestBatcher batcher(batched_or->get(), options);
 
   const std::vector<std::vector<graph::NodeId>> requests = {
@@ -626,51 +625,100 @@ TEST(EmbeddingStoreTest, LruEvictionAndVersionRekeying) {
   EXPECT_EQ(disabled.size(), 0);
 }
 
-// Regression for the linger-anchoring bug: the worker used to re-anchor the
-// linger deadline at its own wake-up time, so a request that arrived while
-// the worker was busy in RunBatch waited busy-time + a FULL extra linger
-// (up to 2x the contract). The fix anchors at the front request's
-// enqueued_at, where the busy wait already counts against the budget.
-TEST(RequestBatcherTest, LingerAnchorsAtOldestEnqueueNotWorkerWakeup) {
+// Batch while busy: requests that arrive while the worker runs a batch
+// queue up and form the next batch together, as soon as the worker is free.
+TEST(RequestBatcherTest, QueuedRequestsFormOneBatchWhenTheWorkerFrees) {
   graph::HeteroGraph chain = ChainGraph(10, 6);
   core::WidenConfig config = SmallConfig();
   const std::string path =
-      WriteColdCheckpoint(chain, config, "serve_linger.wdnt");
+      WriteColdCheckpoint(chain, config, "serve_busy.wdnt");
   auto session_or = InferenceSession::Load(path, &chain, config);
   ASSERT_TRUE(session_or.ok());
 
-  constexpr auto kBusy = std::chrono::milliseconds(400);
-  constexpr int64_t kLingerMicros = 300000;
-  std::atomic<bool> worker_busy{false};
-  std::atomic<int> batches_done{0};
+  testing::WorkerGate gate;
   BatcherOptions options;
-  options.max_batch_nodes = 4;
-  options.max_linger_micros = kLingerMicros;
-  options.post_batch_hook_for_test = [&] {
-    // Hold the worker "in RunBatch" past the linger bound, once.
-    if (batches_done.fetch_add(1) == 0) {
-      worker_busy.store(true);
-      std::this_thread::sleep_for(kBusy);
-    }
-  };
+  options.post_batch_hook_for_test = [&gate] { gate.HoldOnce(); };
   RequestBatcher batcher(session_or->get(), options);
 
-  // A full-size batch forms immediately (no linger), then the hook pins the
-  // worker.
-  auto first = batcher.SubmitEmbed({0, 1, 2, 3});
-  while (!worker_busy.load()) std::this_thread::yield();
+  auto first = batcher.SubmitEmbed({0});
+  gate.AwaitHeld();
+  const std::vector<std::vector<graph::NodeId>> queued = {
+      {1}, {2, 3}, {4}, {5, 6, 7}};
+  std::vector<std::future<StatusOr<T::Tensor>>> futures;
+  for (const auto& r : queued) futures.push_back(batcher.SubmitEmbed(r));
 
   const auto t0 = std::chrono::steady_clock::now();
-  auto second = batcher.SubmitEmbed({5});
-  ASSERT_TRUE(second.get().ok());
+  gate.Open();
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   const auto waited = std::chrono::steady_clock::now() - t0;
-  ASSERT_TRUE(first.get().ok());
+  EXPECT_TRUE(first.get().ok());
 
-  // The busy wait consumed the second request's linger budget, so its batch
-  // must form (nearly) as soon as the worker wakes: ~kBusy. The pre-fix
-  // re-anchoring held it for kBusy + linger.
-  EXPECT_LT(waited, kBusy + std::chrono::microseconds(kLingerMicros / 2))
-      << "linger re-anchored at worker wake-up instead of enqueue time";
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 2);  // the gate batch + one holding all four
+  EXPECT_EQ(stats.max_batch, 7);
+  // The batch forms as soon as the hook returns; no timer holds it. The
+  // bound is generous: one small cold batch takes a few milliseconds.
+  EXPECT_LT(waited, std::chrono::milliseconds(250));
+}
+
+// A batch closes before the request that would take it past kMaxBatchNodes;
+// no request is ever split, and a larger one runs whole in its own batch.
+TEST(RequestBatcherTest, QueuedRequestsSplitOnlyAtRequestBoundaries) {
+  graph::HeteroGraph chain = ChainGraph(10, 6);
+  core::WidenConfig config = SmallConfig();
+  const std::string path =
+      WriteColdCheckpoint(chain, config, "serve_split.wdnt");
+  auto direct_or = InferenceSession::Load(path, &chain, config);
+  auto batched_or = InferenceSession::Load(path, &chain, config);
+  ASSERT_TRUE(direct_or.ok());
+  ASSERT_TRUE(batched_or.ok());
+
+  constexpr int64_t kCap = RequestBatcher::kMaxBatchNodes;
+  const std::vector<int64_t> sizes = {kCap / 2 - 4, kCap / 2 - 4,
+                                      kCap / 2 - 4, kCap + 8, 5};
+  // Each request's batch, in nodes: two fit under the cap, the third would
+  // pass it and opens the next batch, and the oversized one runs alone.
+  const std::vector<int64_t> want_batch = {kCap - 8, kCap - 8, kCap / 2 - 4,
+                                           kCap + 8, 5};
+  std::vector<std::vector<graph::NodeId>> requests;
+  for (size_t r = 0; r < sizes.size(); ++r) {
+    std::vector<graph::NodeId> nodes;
+    for (int64_t i = 0; i < sizes[r]; ++i) {
+      nodes.push_back(
+          static_cast<graph::NodeId>((static_cast<int64_t>(3 * r) + i) % 10));
+    }
+    requests.push_back(std::move(nodes));
+  }
+  // Declared before the batcher, which stamps them until it is destroyed.
+  std::vector<RequestContext> contexts(requests.size());
+
+  testing::WorkerGate gate;
+  BatcherOptions options;
+  options.post_batch_hook_for_test = [&gate] { gate.HoldOnce(); };
+  RequestBatcher batcher(batched_or->get(), options);
+
+  auto first = batcher.SubmitEmbed({0});
+  gate.AwaitHeld();
+  std::vector<std::future<StatusOr<T::Tensor>>> futures;
+  for (size_t r = 0; r < requests.size(); ++r) {
+    RequestBatcher::SubmitOptions submit;
+    submit.context = &contexts[r];
+    futures.push_back(batcher.SubmitEmbed(requests[r], submit));
+  }
+  gate.Open();
+
+  ASSERT_TRUE(first.get().ok());
+  for (size_t r = 0; r < requests.size(); ++r) {
+    StatusOr<T::Tensor> got = futures[r].get();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = (*direct_or)->Embed(requests[r]);
+    ASSERT_TRUE(want.ok());
+    ExpectRowsEqual(*got, *want);
+    EXPECT_EQ(contexts[r].batch_nodes, want_batch[r]) << "request " << r;
+  }
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 5);  // the gate batch + four
+  EXPECT_EQ(stats.max_batch, kCap + 8);
 }
 
 TEST(RequestBatcherTest, ShutdownUnderLoadResolvesEveryFuture) {
@@ -682,8 +730,6 @@ TEST(RequestBatcherTest, ShutdownUnderLoadResolvesEveryFuture) {
   ASSERT_TRUE(session_or.ok());
 
   BatcherOptions options;
-  options.max_batch_nodes = 8;
-  options.max_linger_micros = 200;
   RequestBatcher batcher(session_or->get(), options);
 
   constexpr int kThreads = 4;
@@ -730,9 +776,11 @@ TEST(RequestBatcherTest, FanOutSurvivesThrowingPerRequestWork) {
   auto session_or = InferenceSession::Load(path, &chain, config);
   ASSERT_TRUE(session_or.ok());
 
+  // A gate batch holds the worker while the three requests queue up, so they
+  // form one batch.
+  testing::WorkerGate gate;
   BatcherOptions options;
-  options.max_batch_nodes = 32;
-  options.max_linger_micros = 200000;  // plenty for all three to coalesce
+  options.post_batch_hook_for_test = [&gate] { gate.HoldOnce(); };
   // Same failure path as a throwing ClassifyRows/ArgMaxRows: the middle
   // request's per-pending work explodes after the batch ran.
   options.fan_out_hook_for_test = [](size_t index) {
@@ -740,14 +788,18 @@ TEST(RequestBatcherTest, FanOutSurvivesThrowingPerRequestWork) {
   };
   RequestBatcher batcher(session_or->get(), options);
 
+  auto gate_request = batcher.SubmitEmbed({3});
+  gate.AwaitHeld();
   auto f0 = batcher.SubmitEmbed({0});
   auto f1 = batcher.SubmitPredict({1});
   auto f2 = batcher.SubmitEmbed({2});
+  gate.Open();
 
+  ASSERT_TRUE(gate_request.get().ok());
   StatusOr<T::Tensor> r0 = f0.get();
   StatusOr<std::vector<int32_t>> r1 = f1.get();
   StatusOr<T::Tensor> r2 = f2.get();
-  ASSERT_EQ(batcher.stats().batches, 1);  // all three coalesced
+  ASSERT_EQ(batcher.stats().batches, 2);  // the gate batch + all three
   EXPECT_TRUE(r0.ok()) << r0.status().ToString();
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kInternal);
@@ -777,15 +829,18 @@ TEST(RequestBatcherTest, BatchFormationRevalidatesAgainstTheLiveSession) {
 
   std::mutex live_mu;
   std::shared_ptr<InferenceSession> live = big_session;
+  testing::WorkerGate gate;
   BatcherOptions options;
-  options.max_batch_nodes = 64;
-  options.max_linger_micros = 200000;
+  options.post_batch_hook_for_test = [&gate] { gate.HoldOnce(); };
   RequestBatcher batcher(RequestBatcher::SessionProvider([&] {
                            std::lock_guard<std::mutex> lock(live_mu);
                            return live;
                          }),
                          options);
 
+  // A gate batch holds the worker while the next two requests queue.
+  auto gate_request = batcher.SubmitEmbed({0});
+  gate.AwaitHeld();
   // Both valid against the 12-node session at enqueue time...
   auto stale = batcher.SubmitEmbed({10});
   auto fine = batcher.SubmitEmbed({2});
@@ -794,6 +849,8 @@ TEST(RequestBatcherTest, BatchFormationRevalidatesAgainstTheLiveSession) {
     std::lock_guard<std::mutex> lock(live_mu);
     live = small_session;
   }
+  gate.Open();
+  ASSERT_TRUE(gate_request.get().ok());
   StatusOr<T::Tensor> stale_result = stale.get();
   ASSERT_FALSE(stale_result.ok());
   EXPECT_EQ(stale_result.status().code(), StatusCode::kFailedPrecondition)
