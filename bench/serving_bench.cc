@@ -5,7 +5,7 @@
 // Measures InferenceSession::Embed end to end from a params-only checkpoint
 // (no trained cache), so every node starts COLD — the first sweep over the
 // graph prices the inductive encode path, the following sweeps price the
-// versioned embedding store. For each batch size in {1, 8, 32} the harness
+// embedding store. For each batch size in {1, 8, 32} the harness
 // records per-request latency (p50/p99) and throughput (requests/s and
 // nodes/s) in both states and writes one JSON record at the repo root.
 //

@@ -433,6 +433,35 @@ int RunSmoke(int64_t clients, int64_t queries, int listen_port,
         std::to_string(failures.load()) + " client requests failed"));
   }
 
+  // 5. Store audit: every node's served row must be bitwise equal to a fresh
+  //    session that replayed both deltas. The delta nodes' rows go through
+  //    the store, and the mid-flight edge at node 3 can reach their walks,
+  //    so a row the ingest should have dropped would show here.
+  auto replay = serve::InferenceSession::Load(ckpt, &*graph, config);
+  if (!replay.ok()) return Fail(replay.status());
+  for (const serve::GraphDelta* past : {&delta, &midflight}) {
+    if (auto v = (*replay)->Ingest(*past); !v.ok()) return Fail(v.status());
+  }
+  std::vector<graph::NodeId> all(static_cast<size_t>(session.num_nodes()));
+  for (size_t v = 0; v < all.size(); ++v) {
+    all[v] = static_cast<graph::NodeId>(v);
+  }
+  serve::InferenceSession::EmbedReport audit;
+  auto live_rows = session.Embed(all, &audit);
+  if (!live_rows.ok()) return Fail(live_rows.status());
+  auto replay_rows = (*replay)->Embed(all);
+  if (!replay_rows.ok()) return Fail(replay_rows.status());
+  if (std::memcmp(live_rows->data(), replay_rows->data(),
+                  static_cast<size_t>(live_rows->size()) * sizeof(float)) !=
+      0) {
+    return Fail(Status::Internal(
+        "served rows differ from a fresh session that replayed both deltas"));
+  }
+  std::printf(
+      "store audit: %zu rows bitwise equal to a fresh replay "
+      "(%lld from the store)\n",
+      all.size(), static_cast<long long>(audit.store_hits));
+
   const auto bstats = batcher.stats();
   const auto sstats = session.stats();
   std::printf(
@@ -450,7 +479,7 @@ int RunSmoke(int64_t clients, int64_t queries, int listen_port,
       static_cast<long long>(sstats.store.invalidations),
       static_cast<long long>(sstats.store.evictions));
 
-  // 5. Optional network front-end over the same session: self-contained
+  // 6. Optional network front-end over the same session: self-contained
   //    server for socket smoke tests and load_bench without needing a
   //    trained checkpoint on disk.
   if (listen_port >= 0) {

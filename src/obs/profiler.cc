@@ -376,8 +376,8 @@ std::string Profiler::DumpJson() const {
 
   // The serve layer keeps this gauge current; 0 when no store exists.
   WIDEN_METRIC_GAUGE(store_bytes, "widen_serve_store_resident_bytes",
-                     "Approximate heap bytes held by the versioned embedding "
-                     "store (rows + indexing overhead)");
+                     "Approximate heap bytes held by the embedding store "
+                     "(rows, read sets and indexing overhead)");
   out << "  \"memory\": {"
       << "\"peak_rss_bytes\": " << ReadPeakRssBytes()
       << ", \"current_rss_bytes\": " << ReadCurrentRssBytes()

@@ -165,4 +165,12 @@ StatusOr<std::vector<graph::NodeId>> DeltaGraphView::Apply(
   return touched;
 }
 
+std::vector<graph::NodeId> ReadSetRecorder::TakeReadSet() {
+  std::sort(reads_.begin(), reads_.end());
+  std::vector<graph::NodeId> read_set(
+      reads_.begin(), std::unique(reads_.begin(), reads_.end()));
+  reads_.clear();
+  return read_set;
+}
+
 }  // namespace widen::serve

@@ -69,10 +69,10 @@ class DeltaGraphView final : public graph::GraphView {
 
   /// Validates the whole delta first (schema compatibility, id ranges,
   /// feature width, no self-loops) and applies it only if every record is
-  /// valid — a rejected delta leaves the view untouched. Returns the ids
-  /// whose adjacency or existence changed: every new node plus every
-  /// pre-existing endpoint of a new edge (the seed set for k-hop cache
-  /// invalidation).
+  /// valid — a rejected delta leaves the view untouched. Returns the sorted
+  /// ids whose adjacency or existence changed: every new node plus every
+  /// pre-existing endpoint of a new edge. A stored row is stale exactly when
+  /// its read set (ReadSetRecorder) holds one of them.
   StatusOr<std::vector<graph::NodeId>> Apply(const GraphDelta& delta);
 
   // GraphView interface.
@@ -107,6 +107,46 @@ class DeltaGraphView final : public graph::GraphView {
   std::vector<float> added_features_;  // row-major [num_added, feature_dim]
   std::unordered_map<graph::NodeId, MergedAdjacency> overlay_adj_;
   int64_t num_added_edges_ = 0;
+};
+
+/// GraphView decorator that forwards every call unchanged and records each
+/// node whose adjacency is read (neighbors() or degree()). The session
+/// wraps every cold encode in one; the result is that row's read set.
+/// Features and node types of existing nodes never change, so those reads
+/// are not recorded. The cold encode never reads num_nodes(). Unlike other
+/// views, a recorder serves one thread: give each encode its own.
+class ReadSetRecorder final : public graph::GraphView {
+ public:
+  /// `view` must outlive the recorder.
+  explicit ReadSetRecorder(const graph::GraphView* view) : view_(view) {}
+
+  const graph::GraphSchema& schema() const override {
+    return view_->schema();
+  }
+  int64_t num_nodes() const override { return view_->num_nodes(); }
+  graph::NodeTypeId node_type(graph::NodeId v) const override {
+    return view_->node_type(v);
+  }
+  int64_t degree(graph::NodeId v) const override {
+    reads_.push_back(v);
+    return view_->degree(v);
+  }
+  graph::Csr::NeighborSpan neighbors(graph::NodeId v) const override {
+    reads_.push_back(v);
+    return view_->neighbors(v);
+  }
+  int64_t feature_dim() const override { return view_->feature_dim(); }
+  const float* feature_row(graph::NodeId v) const override {
+    return view_->feature_row(v);
+  }
+
+  /// The sorted, distinct ids read since construction or the last call, in
+  /// an exactly sized vector; the record starts over.
+  std::vector<graph::NodeId> TakeReadSet();
+
+ private:
+  const graph::GraphView* view_;
+  mutable std::vector<graph::NodeId> reads_;  // in call order, repeats kept
 };
 
 }  // namespace widen::serve

@@ -1,8 +1,6 @@
 #include "serve/inference_session.h"
 
-#include <algorithm>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
 
 #include "core/encoder.h"
@@ -27,7 +25,7 @@ struct ServeMetrics {
   obs::Counter* store_misses;
   obs::Counter* ingests;
   obs::Counter* invalidations;
-  obs::Histogram* invalidated_nodes;
+  obs::Histogram* invalidated_rows;
   obs::Gauge* store_resident_bytes;
 
   static const ServeMetrics& Get() {
@@ -40,7 +38,7 @@ struct ServeMetrics {
             "Embed rows served from the checkpoint's frozen base reps"),
         obs::MetricsRegistry::Get().GetCounter(
             "widen_serve_store_hits_total",
-            "Embed rows served from the versioned embedding store"),
+            "Embed rows served from the embedding store"),
         obs::MetricsRegistry::Get().GetCounter(
             "widen_serve_store_misses_total",
             "Embed rows that required a cold encode"),
@@ -48,14 +46,16 @@ struct ServeMetrics {
             "widen_serve_ingests_total", "Graph deltas ingested"),
         obs::MetricsRegistry::Get().GetCounter(
             "widen_serve_store_invalidations_total",
-            "Nodes invalidated in the embedding store across all ingests"),
+            "Embedding store rows dropped across all ingests (rows whose "
+            "read set held a touched node)"),
         obs::MetricsRegistry::Get().GetHistogram(
             "widen_serve_invalidated_nodes",
-            "Store rows invalidated per ingest (k-hop BFS size)"),
+            "Embedding store rows dropped per ingest (rows whose read set "
+            "held a touched node)"),
         obs::MetricsRegistry::Get().GetGauge(
             "widen_serve_store_resident_bytes",
-            "Approximate heap bytes held by the versioned embedding store "
-            "(rows + indexing overhead)"),
+            "Approximate heap bytes held by the embedding store "
+            "(rows, read sets and indexing overhead)"),
     };
     return m;
   }
@@ -118,7 +118,6 @@ InferenceSession::InferenceSession(core::ServingWeights weights,
                                                : nullptr,
                  &base_valid_, weights_.params.embedding_dim()),
       config_(config),
-      options_(options),
       view_(base_graph),
       store_(options.store_capacity, weights_.params.embedding_dim()),
       pool_(options.num_threads > 1
@@ -138,11 +137,6 @@ InferenceSession::InferenceSession(core::ServingWeights weights,
 int64_t InferenceSession::num_nodes() const {
   std::shared_lock<std::shared_mutex> lock(graph_mu_);
   return view_.num_nodes();
-}
-
-int64_t InferenceSession::InvalidationHops() const {
-  if (options_.invalidation_hops >= 0) return options_.invalidation_hops;
-  return std::max<int64_t>(1, config_.num_deep_neighbors);
 }
 
 GraphDelta InferenceSession::NewDelta() const {
@@ -170,31 +164,27 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
           StrCat("node ", v, " out of range [0, ", n, ")"));
     }
   }
-  const uint64_t version = version_.load();
   const int64_t d = weights_.params.embedding_dim();
   T::Tensor out(T::Shape::Matrix(static_cast<int64_t>(nodes.size()), d));
 
   std::vector<size_t> cold;  // request positions needing a fresh encode
   {
-    std::vector<float> row;
     int64_t base_hits = 0;
     int64_t store_hits = 0;
     for (size_t i = 0; i < nodes.size(); ++i) {
       const graph::NodeId v = nodes[i];
+      float* row = out.mutable_data() + static_cast<int64_t>(i) * d;
       if (const float* base = base_reps_.Lookup(v)) {
-        std::memcpy(out.mutable_data() + static_cast<int64_t>(i) * d, base,
-                    static_cast<size_t>(d) * sizeof(float));
+        std::memcpy(row, base, static_cast<size_t>(d) * sizeof(float));
         ++base_hits;
         continue;
       }
       bool hit;
       {
         std::lock_guard<std::mutex> store_lock(store_mu_);
-        hit = store_.Lookup(version, v, &row);
+        hit = store_.Lookup(v, row);
       }
       if (hit) {
-        std::memcpy(out.mutable_data() + static_cast<int64_t>(i) * d,
-                    row.data(), static_cast<size_t>(d) * sizeof(float));
         ++store_hits;
       } else {
         cold.push_back(i);
@@ -211,14 +201,17 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
     metrics.store_misses->Add(static_cast<int64_t>(cold.size()));
     // Rows are disjoint and every cold node draws from its own RNG stream
     // (EvalSeedForNode), so fan-out order cannot change any bit.
+    std::vector<std::vector<graph::NodeId>> read_sets(cold.size());
     auto encode_one = [&](size_t k) {
       obs::StageScope cold_stage(obs::Stage::kColdEncode);
       T::InferenceScope inference;
       const graph::NodeId v = nodes[cold[k]];
-      T::Tensor mean = core::EncodeColdMean(view_, weights_.params, config_, v,
-                                            &base_reps_);
+      ReadSetRecorder recorder(&view_);
+      T::Tensor mean = core::EncodeColdMean(recorder, weights_.params,
+                                            config_, v, &base_reps_);
       std::memcpy(out.mutable_data() + static_cast<int64_t>(cold[k]) * d,
                   mean.data(), static_cast<size_t>(d) * sizeof(float));
+      read_sets[k] = recorder.TakeReadSet();
     };
     if (pool_ != nullptr && cold.size() > 1) {
       ParallelFor(*pool_, 0, cold.size(), encode_one);
@@ -230,9 +223,10 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
       report->cold_encodes = static_cast<int64_t>(cold.size());
     }
     std::lock_guard<std::mutex> store_lock(store_mu_);
-    for (size_t k : cold) {
-      store_.Insert(version, nodes[k],
-                    out.data() + static_cast<int64_t>(k) * d);
+    for (size_t k = 0; k < cold.size(); ++k) {
+      store_.Insert(nodes[cold[k]],
+                    out.data() + static_cast<int64_t>(cold[k]) * d,
+                    std::move(read_sets[k]));
     }
     metrics.store_resident_bytes->Set(
         static_cast<double>(store_.ResidentBytes()));
@@ -256,41 +250,22 @@ StatusOr<uint64_t> InferenceSession::Ingest(const GraphDelta& delta) {
   const ServeMetrics& metrics = ServeMetrics::Get();
   obs::StageScope stage(obs::Stage::kIngest);
   std::unique_lock<std::shared_mutex> graph_lock(graph_mu_);
-  WIDEN_ASSIGN_OR_RETURN(std::vector<graph::NodeId> touched,
+  WIDEN_ASSIGN_OR_RETURN(const std::vector<graph::NodeId> touched,
                          view_.Apply(delta));
-  const uint64_t new_version = version_.load() + 1;
-
-  // Everything within k hops of a changed node may sample through the new
-  // structure; everything farther provably cannot (walks are length-bounded),
-  // so its cached row survives the version bump.
-  std::unordered_set<graph::NodeId> affected(touched.begin(), touched.end());
-  std::vector<graph::NodeId> frontier = touched;
-  const int64_t hops = InvalidationHops();
-  for (int64_t hop = 0; hop < hops && !frontier.empty(); ++hop) {
-    std::vector<graph::NodeId> next;
-    for (graph::NodeId v : frontier) {
-      const graph::Csr::NeighborSpan span = view_.neighbors(v);
-      for (int64_t i = 0; i < span.size; ++i) {
-        if (affected.insert(span.neighbors[i]).second) {
-          next.push_back(span.neighbors[i]);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  std::vector<graph::NodeId> invalidated(affected.begin(), affected.end());
-  std::sort(invalidated.begin(), invalidated.end());
+  // Only a row whose encode read a touched node's adjacency can re-encode
+  // differently; every other row survives (serve/embedding_store.h).
+  int64_t dropped;
   {
     std::lock_guard<std::mutex> store_lock(store_mu_);
-    store_.BeginVersion(new_version, invalidated);
+    dropped = store_.Invalidate(touched);
     metrics.store_resident_bytes->Set(
         static_cast<double>(store_.ResidentBytes()));
   }
-  version_.store(new_version);
+  const uint64_t new_version = ++version_;
   ++ingests_;
   metrics.ingests->Increment();
-  metrics.invalidations->Add(static_cast<int64_t>(invalidated.size()));
-  metrics.invalidated_nodes->Record(static_cast<double>(invalidated.size()));
+  metrics.invalidations->Add(dropped);
+  metrics.invalidated_rows->Record(static_cast<double>(dropped));
   return new_version;
 }
 

@@ -11,9 +11,10 @@
 //     are embedded on demand through the shared encode path
 //     (core/encoder.h) with tape-free, allocation-reusing forwards
 //     (tensor/inference.h).
-//   * Computed rows are cached in a bounded LRU keyed by
-//     (graph_version, node); each ingest bumps the version and invalidates
-//     exactly the k-hop neighborhood whose inputs changed.
+//   * Computed rows are cached in a bounded LRU keyed by node, each with
+//     the read set of its cold encode: the nodes whose adjacency it read.
+//     Each ingest bumps the version and drops exactly the rows whose read
+//     set holds a node the delta touched (serve/embedding_store.h).
 //
 // Concurrency: Embed/Predict take a shared lock, Ingest an exclusive one,
 // and the LRU store has its own mutex — many readers proceed in parallel
@@ -42,10 +43,6 @@ struct SessionOptions {
   /// Maximum number of rows in the computed-embedding LRU store (0 disables
   /// caching; every non-base query recomputes).
   int64_t store_capacity = 4096;
-  /// How many hops around a delta's touched nodes to invalidate. -1 derives
-  /// the exact bound from the config: max(1, num_deep_neighbors), the
-  /// farthest any sampled input reaches.
-  int64_t invalidation_hops = -1;
   /// Worker threads for fanning cold-node encodes of one Embed call out in
   /// parallel (1 = serial). Results are bitwise independent of this value —
   /// every cold node draws from its own RNG stream.
@@ -93,8 +90,8 @@ class InferenceSession {
   /// A delta builder positioned at the current node count.
   GraphDelta NewDelta() const;
 
-  /// Applies `delta`, bumps the graph version, and invalidates the cached
-  /// rows whose k-hop inputs changed. Returns the new version.
+  /// Applies `delta`, bumps the graph version, and drops the cached rows
+  /// whose read set holds a node the delta touched. Returns the new version.
   StatusOr<uint64_t> Ingest(const GraphDelta& delta);
 
   uint64_t graph_version() const { return version_.load(); }
@@ -118,8 +115,6 @@ class InferenceSession {
                    const core::WidenConfig& config,
                    const SessionOptions& options);
 
-  int64_t InvalidationHops() const;
-
   core::ServingWeights weights_;
   std::vector<bool> base_valid_;  // cache_valid unpacked; empty if no store
   // The frozen training-time rows: served verbatim on a hit, and the stored
@@ -128,7 +123,6 @@ class InferenceSession {
   // are not, which makes session cold encodes bitwise-equal to EmbedNodes.
   core::RepSource base_reps_;
   core::WidenConfig config_;
-  SessionOptions options_;
 
   mutable std::shared_mutex graph_mu_;  // guards view_ (Ingest is writer)
   DeltaGraphView view_;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "core/encoder.h"
 #include "core/widen_model.h"
 #include "datasets/splits.h"
 #include "datasets/synthetic.h"
@@ -31,6 +32,7 @@
 #include "serve/request_batcher.h"
 #include "tensor/inference.h"
 #include "util/json.h"
+#include "util/random.h"
 #include "worker_gate.h"
 
 namespace widen::serve {
@@ -265,62 +267,172 @@ TEST(InferenceSessionTest, RoundTripBitwiseEqualIncludingDeltaOnlyNodes) {
   EXPECT_GT(after.store_hits, before.store_hits);
 }
 
-TEST(InferenceSessionTest, IngestInvalidatesExactlyTheKHopNeighborhood) {
+// The read set a cold encode of `v` records on `graph`: the nodes whose
+// adjacency it reads, which the session stores with the row.
+std::vector<graph::NodeId> ReadSetOf(const graph::HeteroGraph& graph,
+                                     const core::EncoderParams& params,
+                                     const core::WidenConfig& config,
+                                     graph::NodeId v) {
+  graph::HeteroGraphView view(graph);
+  ReadSetRecorder recorder(&view);
+  T::InferenceScope inference;
+  core::EncodeColdMean(recorder, params, config, v, /*reps=*/nullptr);
+  return recorder.TakeReadSet();
+}
+
+bool Reads(const std::vector<graph::NodeId>& read_set, graph::NodeId v) {
+  return std::binary_search(read_set.begin(), read_set.end(), v);
+}
+
+TEST(InferenceSessionTest, IngestDropsExactlyTheRowsThatReadATouchedNode) {
   const int64_t n = 12;
   graph::HeteroGraph chain = ChainGraph(n, 6);
   core::WidenConfig config = SmallConfig();
   const std::string path = WriteColdCheckpoint(chain, config, "serve_chain.wdnt");
-
-  SessionOptions options;
-  options.invalidation_hops = 2;
-  auto session_or = InferenceSession::Load(path, &chain, config, options);
+  auto weights = core::LoadServingWeights(path);
+  ASSERT_TRUE(weights.ok());
+  auto session_or = InferenceSession::Load(path, &chain, config);
   ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
   InferenceSession& session = **session_or;
+  const size_t d = static_cast<size_t>(session.embedding_dim());
 
-  std::vector<graph::NodeId> all;
-  for (graph::NodeId v = 0; v < n; ++v) all.push_back(v);
-  auto cold = session.Embed(all);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_EQ(session.stats().cold_encodes, n);
-
-  // Attach a new node to node 0. Touched = {new, 0}; with 2 hops the
-  // affected set is {new, 0, 1, 2} — nodes 3..11 must keep their rows.
-  GraphDelta delta = session.NewDelta();
-  std::vector<float> f(6, 0.25f);
-  const graph::NodeId fresh = delta.AddNode(0, f);
-  delta.AddEdge(fresh, 0, 0);
-  ASSERT_TRUE(session.Ingest(delta).ok());
-  EXPECT_EQ(session.stats().store.invalidations, 3);  // rows 0, 1, 2
-
-  // Survivors: warm hits, bitwise identical to the pre-ingest rows.
-  std::vector<graph::NodeId> far;
-  for (graph::NodeId v = 3; v < n; ++v) far.push_back(v);
-  const auto s0 = session.stats();
-  auto far_rows = session.Embed(far);
-  ASSERT_TRUE(far_rows.ok());
-  const auto s1 = session.stats();
-  EXPECT_EQ(s1.cold_encodes, s0.cold_encodes);
-  EXPECT_EQ(s1.store_hits - s0.store_hits, static_cast<int64_t>(far.size()));
-  for (size_t i = 0; i < far.size(); ++i) {
-    EXPECT_EQ(std::memcmp(far_rows->data() + i * session.embedding_dim(),
-                          cold->data() + static_cast<size_t>(far[i]) *
-                                             session.embedding_dim(),
-                          static_cast<size_t>(session.embedding_dim()) *
-                              sizeof(float)),
-              0)
-        << "node " << far[i] << " should have survived the ingest untouched";
+  // Store the rows of nodes 0..8. Walks of N_d = 3 steps read adjacency at
+  // most 2 hops out, so none of these rows read node 11.
+  std::vector<graph::NodeId> stored;
+  std::vector<std::vector<graph::NodeId>> read_sets;
+  for (graph::NodeId v = 0; v < 9; ++v) {
+    stored.push_back(v);
+    read_sets.push_back(ReadSetOf(chain, weights->params, config, v));
+    ASSERT_FALSE(Reads(read_sets.back(), 11)) << "node " << v;
   }
+  auto cold = session.Embed(stored);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_EQ(session.stats().cold_encodes, 9);
 
-  // The affected nodes are recomputed against the grown graph; node 0 now
-  // has a second neighbor, so its row must actually change.
-  auto near = session.Embed({0, 1, 2, fresh});
-  ASSERT_TRUE(near.ok());
-  const auto s2 = session.stats();
-  EXPECT_EQ(s2.cold_encodes - s1.cold_encodes, 4);
-  EXPECT_NE(std::memcmp(near->data(), cold->data(),
-                        static_cast<size_t>(session.embedding_dim()) *
-                            sizeof(float)),
-            0);
+  // Embeds each stored node alone; a row not in `dropped` must come from
+  // the store, bitwise equal to its first encode.
+  auto expect_served = [&](const std::vector<bool>& dropped) {
+    for (size_t i = 0; i < stored.size(); ++i) {
+      InferenceSession::EmbedReport report;
+      auto row = session.Embed({stored[i]}, &report);
+      ASSERT_TRUE(row.ok());
+      EXPECT_EQ(report.store_hits, dropped[i] ? 0 : 1) << "node " << i;
+      EXPECT_EQ(report.cold_encodes, dropped[i] ? 1 : 0) << "node " << i;
+      if (!dropped[i]) {
+        EXPECT_EQ(std::memcmp(row->data(), cold->data() + i * d,
+                              d * sizeof(float)),
+                  0)
+            << "node " << i << " should have survived the ingest untouched";
+      }
+    }
+  };
+
+  // A delta at node 11, which no stored row read, drops nothing.
+  GraphDelta far = session.NewDelta();
+  far.AddEdge(far.AddNode(0, std::vector<float>(6, 0.5f)), 11, 0);
+  ASSERT_TRUE(session.Ingest(far).ok());
+  EXPECT_EQ(session.stats().store.invalidations, 0);
+  expect_served(std::vector<bool>(stored.size(), false));
+
+  // A delta at node 0: touched = {0, fresh}. Exactly the rows whose read
+  // set holds one of them are dropped.
+  GraphDelta near = session.NewDelta();
+  const graph::NodeId fresh = near.AddNode(0, std::vector<float>(6, 0.25f));
+  near.AddEdge(fresh, 0, 0);
+  ASSERT_TRUE(session.Ingest(near).ok());
+  std::vector<bool> dropped;
+  int64_t num_dropped = 0;
+  for (const auto& read_set : read_sets) {
+    dropped.push_back(Reads(read_set, 0) || Reads(read_set, fresh));
+    num_dropped += dropped.back() ? 1 : 0;
+  }
+  EXPECT_TRUE(dropped[0]);  // an encode always reads its target's adjacency
+  EXPECT_FALSE(dropped[3] || dropped[8]);  // too far to read node 0
+  EXPECT_EQ(session.stats().store.invalidations, num_dropped);
+  expect_served(dropped);
+
+  // Node 0 gained a neighbor, so its re-encoded row must actually change.
+  auto node0 = session.Embed({0});
+  ASSERT_TRUE(node0.ok());
+  EXPECT_NE(std::memcmp(node0->data(), cold->data(), d * sizeof(float)), 0);
+}
+
+// The store's exactness audit. With a cold checkpoint every row goes
+// through the store, which has room for all of them. After every random
+// delta, each node must embed memcmp-equal to a fresh session that
+// replayed the same deltas, and some rows must come from the store, so the
+// check covers rows that survived an Ingest.
+TEST(InferenceSessionTest, StoredRowsMatchAFreshReplayAfterRandomDeltas) {
+  auto base_or = MakeBaseGraph();
+  ASSERT_TRUE(base_or.ok());
+  const graph::HeteroGraph base = std::move(base_or).value();
+  const core::WidenConfig config = SmallConfig();
+  const std::string path = WriteColdCheckpoint(base, config, "serve_audit.wdnt");
+  auto live_or = InferenceSession::Load(path, &base, config);
+  ASSERT_TRUE(live_or.ok());
+  InferenceSession& live = **live_or;
+  const graph::GraphSchema& schema = base.schema();
+  const graph::NodeTypeId doc = schema.FindNodeType("doc").value();
+  const graph::NodeTypeId tag = schema.FindNodeType("tag").value();
+  const graph::EdgeTypeId doc_tag = schema.FindEdgeType("doc-tag").value();
+  const graph::EdgeTypeId doc_doc = schema.FindEdgeType("doc-doc").value();
+
+  std::vector<graph::NodeTypeId> types;
+  for (graph::NodeId v = 0; v < base.num_nodes(); ++v) {
+    types.push_back(base.node_type(v));
+  }
+  Rng rng(2024);
+  std::vector<GraphDelta> deltas;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const int64_t n = live.num_nodes();
+    std::vector<graph::NodeId> queries;
+    for (uint64_t k = 1 + rng.UniformInt(16); k > 0; --k) {
+      queries.push_back(static_cast<graph::NodeId>(
+          rng.UniformInt(static_cast<uint64_t>(n))));
+    }
+    ASSERT_TRUE(live.Embed(queries).ok());
+
+    // A new node wired to 1-3 existing nodes (tags link only to docs).
+    GraphDelta delta = live.NewDelta();
+    const graph::NodeTypeId type = rng.UniformInt(2) == 0 ? doc : tag;
+    std::vector<float> features(static_cast<size_t>(base.feature_dim()));
+    for (float& f : features) f = rng.UniformFloat(-1.0f, 1.0f);
+    const graph::NodeId fresh = delta.AddNode(type, std::move(features));
+    for (uint64_t e = 1 + rng.UniformInt(3); e > 0; --e) {
+      graph::NodeId u;
+      do {
+        u = static_cast<graph::NodeId>(
+            rng.UniformInt(static_cast<uint64_t>(n)));
+      } while (type == tag && types[static_cast<size_t>(u)] == tag);
+      const bool both_docs =
+          type == doc && types[static_cast<size_t>(u)] == doc;
+      delta.AddEdge(fresh, u, both_docs ? doc_doc : doc_tag);
+    }
+    ASSERT_TRUE(live.Ingest(delta).ok());
+    types.push_back(type);
+    deltas.push_back(std::move(delta));
+
+    auto replay_or = InferenceSession::Load(path, &base, config);
+    ASSERT_TRUE(replay_or.ok());
+    for (const GraphDelta& past : deltas) {
+      ASSERT_TRUE((*replay_or)->Ingest(past).ok());
+    }
+    std::vector<graph::NodeId> all(static_cast<size_t>(live.num_nodes()));
+    for (size_t v = 0; v < all.size(); ++v) {
+      all[v] = static_cast<graph::NodeId>(v);
+    }
+    const int64_t hits_before = live.stats().store_hits;
+    auto served = live.Embed(all);
+    auto want = (*replay_or)->Embed(all);
+    ASSERT_TRUE(served.ok());
+    ASSERT_TRUE(want.ok());
+    ExpectRowsEqual(*served, *want);
+    // From the second round on the store held every row before the delta.
+    if (round > 0) {
+      EXPECT_GT(live.stats().store_hits, hits_before);
+    }
+  }
 }
 
 TEST(InferenceSessionTest, RejectsBadLoadsDeltasAndQueries) {
@@ -583,46 +695,129 @@ TEST(RequestBatcherTest, ConcurrentClientsWithInterleavedIngests) {
   EXPECT_EQ(session.num_nodes(), 15);
 }
 
-TEST(EmbeddingStoreTest, LruEvictionAndVersionRekeying) {
-  EmbeddingStore store(2, 2);
+TEST(ReadSetRecorderTest, RecordsAdjacencyReadsAndForwardsEveryCall) {
+  graph::HeteroGraph chain = ChainGraph(10, 6);
+  graph::HeteroGraphView view(chain);
+  ReadSetRecorder recorder(&view);
+  EXPECT_EQ(recorder.neighbors(7).neighbors, chain.neighbors(7).neighbors);
+  EXPECT_EQ(recorder.degree(3), 2);
+  EXPECT_EQ(recorder.neighbors(7).size, 2);
+  // Reads of state a delta never changes are forwarded, not recorded.
+  EXPECT_EQ(recorder.feature_row(5), view.feature_row(5));
+  EXPECT_EQ(recorder.node_type(9), chain.node_type(9));
+  EXPECT_EQ(recorder.num_nodes(), 10);
+  EXPECT_EQ(recorder.feature_dim(), 6);
+  EXPECT_EQ(recorder.TakeReadSet(), std::vector<graph::NodeId>({3, 7}));
+  EXPECT_TRUE(recorder.TakeReadSet().empty());
+}
+
+TEST(EmbeddingStoreTest, LruOrderReadSetInvalidationAndResidentBytes) {
+  using ReadSet = std::vector<graph::NodeId>;
   const float ra[] = {1.0f, 2.0f};
   const float rb[] = {3.0f, 4.0f};
   const float rc[] = {5.0f, 6.0f};
-  store.Insert(0, 10, ra);
-  store.Insert(0, 11, rb);
-  store.Insert(0, 12, rc);  // evicts node 10 (LRU)
-  std::vector<float> out;
-  EXPECT_FALSE(store.Lookup(0, 10, &out));
-  EXPECT_TRUE(store.Lookup(0, 11, &out));
-  EXPECT_EQ(out, std::vector<float>({3.0f, 4.0f}));
-  EXPECT_EQ(store.stats().evictions, 1);
-
-  // Touching 11 made it MRU; the next eviction takes 12.
   const float rd[] = {7.0f, 8.0f};
-  store.Insert(0, 13, rd);
-  EXPECT_FALSE(store.Lookup(0, 12, &out));
-  EXPECT_TRUE(store.Lookup(0, 11, &out));
+  float out[2];
+  auto holds = [&](EmbeddingStore& s, graph::NodeId v, const float* row) {
+    return s.Lookup(v, out) && out[0] == row[0] && out[1] == row[1];
+  };
 
-  // Version bump: 11 invalidated, 13 re-keyed to the new version.
-  store.BeginVersion(1, {11});
-  EXPECT_FALSE(store.Lookup(1, 11, &out));
-  EXPECT_TRUE(store.Lookup(1, 13, &out));
-  EXPECT_EQ(out, std::vector<float>({7.0f, 8.0f}));
-  EXPECT_FALSE(store.Lookup(0, 13, &out));  // old version is gone
+  // LRU order.
+  EmbeddingStore lru(2, 2);
+  lru.Insert(10, ra, {10});
+  lru.Insert(11, rb, {11});
+  lru.Insert(12, rc, {12});  // evicts node 10 (LRU)
+  EXPECT_FALSE(lru.Lookup(10, out));
+  EXPECT_TRUE(holds(lru, 11, rb));
+  EXPECT_EQ(lru.stats().evictions, 1);
+  lru.Insert(13, rd, {13});  // touching 11 made it MRU: evicts 12
+  EXPECT_FALSE(lru.Lookup(12, out));
+  EXPECT_TRUE(holds(lru, 11, rb));
+  EXPECT_TRUE(holds(lru, 13, rd));
+
+  // Invalidate drops exactly the rows whose read set holds a touched node
+  // and returns how many; survivors keep their rows and LRU positions.
+  EmbeddingStore store(3, 2);
+  store.Insert(1, ra, {1, 2, 3});
+  store.Insert(2, rb, {2, 5});
+  store.Insert(3, rc, {3, 9});
+  EXPECT_EQ(store.Invalidate({0, 4, 6, 100}), 0);  // no read set holds them
+  EXPECT_EQ(store.Invalidate({}), 0);
+  EXPECT_EQ(store.Invalidate({5, 100}), 1);  // node 2's row
   EXPECT_EQ(store.stats().invalidations, 1);
+  EXPECT_EQ(store.size(), 2);
+  EXPECT_FALSE(store.Lookup(2, out));
+  store.Insert(4, rd, {4});
+  store.Insert(5, rd, {5});  // full: evicts node 1, the least recent survivor
+  EXPECT_FALSE(store.Lookup(1, out));
+  EXPECT_TRUE(holds(store, 3, rc));
+  EXPECT_EQ(store.Invalidate({3, 4}), 2);
   EXPECT_EQ(store.size(), 1);
 
-  // Overwrite keeps size stable.
-  store.Insert(1, 13, ra);
+  // An overwrite replaces both the row and the read set.
+  store.Insert(5, ra, {6, 7});
   EXPECT_EQ(store.size(), 1);
-  EXPECT_TRUE(store.Lookup(1, 13, &out));
-  EXPECT_EQ(out, std::vector<float>({1.0f, 2.0f}));
+  EXPECT_TRUE(holds(store, 5, ra));
+  EXPECT_EQ(store.Invalidate({5}), 0);
+  EXPECT_EQ(store.Invalidate({7}), 1);
 
   // Zero capacity disables caching entirely.
   EmbeddingStore disabled(0, 2);
-  disabled.Insert(0, 1, ra);
-  EXPECT_FALSE(disabled.Lookup(0, 1, &out));
+  disabled.Insert(1, ra, {1});
+  EXPECT_FALSE(disabled.Lookup(1, out));
   EXPECT_EQ(disabled.size(), 0);
+  EXPECT_EQ(disabled.ResidentBytes(), 0);
+
+  // ResidentBytes is a running total: after any sequence of inserts,
+  // overwrites, evictions and invalidations it equals a recount of what the
+  // store holds.
+  EmbeddingStore one(1, 2);
+  one.Insert(0, ra, {});
+  const int64_t row_bytes = one.ResidentBytes();  // bookkeeping + 2 floats
+  EmbeddingStore random(8, 2);
+  std::vector<ReadSet> latest(32);  // each node's last inserted read set
+  auto recount = [&] {
+    int64_t bytes = 0;
+    for (graph::NodeId v = 0; v < 32; ++v) {
+      if (!random.Lookup(v, out)) continue;
+      bytes += row_bytes + static_cast<int64_t>(
+                               latest[static_cast<size_t>(v)].size() *
+                               sizeof(graph::NodeId));
+    }
+    return bytes;
+  };
+  Rng rng(11);
+  for (int op = 0; op < 400; ++op) {
+    if (rng.UniformInt(3) != 0) {
+      const graph::NodeId v = static_cast<graph::NodeId>(rng.UniformInt(32));
+      ReadSet reads;
+      for (graph::NodeId u = 0; u < 40; ++u) {
+        if (rng.UniformInt(4) == 0) reads.push_back(u);
+      }
+      latest[static_cast<size_t>(v)] = reads;
+      random.Insert(v, rb, ReadSet(reads.begin(), reads.end()));
+    } else {
+      const graph::NodeId touched =
+          static_cast<graph::NodeId>(rng.UniformInt(40));
+      int64_t expected = 0;
+      for (graph::NodeId v = 0; v < 32; ++v) {
+        if (random.Lookup(v, out) &&
+            Reads(latest[static_cast<size_t>(v)], touched)) {
+          ++expected;
+        }
+      }
+      EXPECT_EQ(random.Invalidate({touched}), expected);
+    }
+    if (op % 20 == 19) {
+      EXPECT_EQ(random.ResidentBytes(), recount());
+    }
+  }
+  const EmbeddingStore::Stats& stats = random.stats();
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_GT(stats.invalidations, 0);
+  EXPECT_EQ(stats.insertions - stats.evictions - stats.invalidations,
+            random.size());
+  EXPECT_EQ(random.ResidentBytes(), recount());
 }
 
 // Batch while busy: requests that arrive while the worker runs a batch
