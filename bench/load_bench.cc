@@ -51,7 +51,6 @@
 #include "core/widen_model.h"
 #include "datasets/synthetic.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "serve/inference_session.h"
 #include "serve/net/admin.h"
 #include "serve/net/client.h"
@@ -374,11 +373,10 @@ struct SpawnedServer {
   core::WidenConfig config;
   std::string ckpt;
   std::unique_ptr<serve::net::NetServer> server;
-  std::unique_ptr<obs::SloEngine> slo;
-  std::unique_ptr<serve::net::AdminServer> admin;
+  serve::net::AdminPlane admin;
 
   ~SpawnedServer() {
-    admin.reset();   // its health_fn/slo point into the members below
+    admin.server.reset();  // its health check reads `server`
     server.reset();  // joins threads before graph/ckpt go away
     if (!ckpt.empty()) std::remove(ckpt.c_str());
   }
@@ -446,33 +444,8 @@ std::unique_ptr<SpawnedServer> SpawnServer(const LoadOptions& options) {
 
   // Admin plane on an ephemeral port, judging the same SLO the harness
   // measures client-side — the run's report carries both views.
-  obs::SloEngine::Options slo_options;
-  slo_options.objectives = {
-      {"embed",
-       obs::MetricsRegistry::Get().GetHistogram(
-           "widen_net_embed_request_us",
-           "Embed request wall time, admission to completion (microseconds)"),
-       options.slo_ms * 1000.0, 0.99},
-      {"predict",
-       obs::MetricsRegistry::Get().GetHistogram(
-           "widen_net_predict_request_us",
-           "Predict request wall time, admission to completion "
-           "(microseconds)"),
-       options.slo_ms * 1000.0, 0.99},
-  };
-  spawned->slo = std::make_unique<obs::SloEngine>(std::move(slo_options));
-  serve::net::AdminOptions admin_options;
-  admin_options.port = 0;
-  admin_options.slo = spawned->slo.get();
-  serve::net::NetServer* net = spawned->server.get();
-  admin_options.health_fn = [net](std::string* reason) {
-    if (net->draining()) {
-      *reason = "draining";
-      return false;
-    }
-    return true;
-  };
-  auto admin = serve::net::AdminServer::Start(admin_options);
+  auto admin = serve::net::StartAdminPlane(spawned->server.get(), /*port=*/0,
+                                           options.slo_ms * 1000.0);
   WIDEN_CHECK(admin.ok()) << admin.status().ToString();
   spawned->admin = std::move(admin).value();
   return spawned;
@@ -514,7 +487,7 @@ int Run(const LoadOptions& options) {
   int admin_port = options.admin_port;
   if (spawn) {
     admin_host = "127.0.0.1";
-    admin_port = spawned->admin->port();
+    admin_port = spawned->admin.server->port();
     std::printf("admin plane on %s:%d\n", admin_host.c_str(), admin_port);
   }
   const bool scrape = admin_port >= 0 && !admin_host.empty();
@@ -817,7 +790,9 @@ int main(int argc, char** argv) {
       if (colon == nullptr) return widen::Usage(argv[0]);
       options.connect_host.assign(value, colon);
       options.connect_port = std::atoi(colon + 1);
-      if (options.connect_port <= 0) return widen::Usage(argv[0]);
+      if (options.connect_port <= 0 || options.connect_port > 65535) {
+        return widen::Usage(argv[0]);
+      }
     } else if (arg == "--admin") {
       const char* value = next();
       if (value == nullptr) return widen::Usage(argv[0]);
@@ -825,7 +800,9 @@ int main(int argc, char** argv) {
       if (colon == nullptr) return widen::Usage(argv[0]);
       options.admin_host.assign(value, colon);
       options.admin_port = std::atoi(colon + 1);
-      if (options.admin_port <= 0) return widen::Usage(argv[0]);
+      if (options.admin_port <= 0 || options.admin_port > 65535) {
+        return widen::Usage(argv[0]);
+      }
     } else if (arg == "--clients") {
       const char* value = next();
       if (value == nullptr) return widen::Usage(argv[0]);

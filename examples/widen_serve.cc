@@ -56,10 +56,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/slo.h"
 #include "obs/trace.h"
 #include "serve/inference_session.h"
-#include "serve/net/admin.h"
 #include "serve/net/server.h"
 #include "serve/request_batcher.h"
 
@@ -238,57 +236,6 @@ core::WidenConfig SmokeConfig() {
   return config;
 }
 
-// The introspection side-car for a serving run: an SloEngine judging the
-// serve-side request histograms plus the HTTP admin listener. Bundled so
-// both live exactly as long as the NetServer they describe.
-struct AdminPlane {
-  std::unique_ptr<obs::SloEngine> slo;
-  std::unique_ptr<serve::net::AdminServer> server;
-};
-
-StatusOr<AdminPlane> StartAdminPlane(int admin_port, long slo_ms,
-                                     serve::net::NetServer* net) {
-  AdminPlane plane;
-  obs::SloEngine::Options slo_options;
-  // Without an explicit --slo_ms, judge against a 50 ms / 99% objective —
-  // generous for in-process smoke traffic, tight enough to mean something.
-  const double threshold_us =
-      static_cast<double>(slo_ms > 0 ? slo_ms : 50) * 1000.0;
-  auto& registry = obs::MetricsRegistry::Get();
-  slo_options.objectives = {
-      {"embed",
-       registry.GetHistogram("widen_net_embed_request_us",
-                             "Embed request wall time, admission to "
-                             "completion (microseconds)"),
-       threshold_us, 0.99},
-      {"predict",
-       registry.GetHistogram("widen_net_predict_request_us",
-                             "Predict request wall time, admission to "
-                             "completion (microseconds)"),
-       threshold_us, 0.99},
-  };
-  plane.slo = std::make_unique<obs::SloEngine>(std::move(slo_options));
-  serve::net::AdminOptions admin_options;
-  admin_options.port = admin_port;
-  admin_options.slo = plane.slo.get();
-  admin_options.health_fn = [net](std::string* reason) {
-    if (net != nullptr && net->draining()) {
-      *reason = "draining";
-      return false;
-    }
-    return true;
-  };
-  auto admin = serve::net::AdminServer::Start(admin_options);
-  if (!admin.ok()) return admin.status();
-  plane.server = std::move(*admin);
-  std::printf(
-      "admin plane on 127.0.0.1:%d (/healthz /metrics /varz /tracez "
-      "/profilez)\n",
-      plane.server->port());
-  std::fflush(stdout);  // scripts grep for the admin port line too
-  return plane;
-}
-
 // Runs `server` until it drains (SIGTERM/SIGINT via `watcher`, or every
 // client hung up after a wire-op-initiated drain), then reports front-end
 // stats. Blocks for the server's lifetime.
@@ -326,11 +273,20 @@ int ListenAndServe(std::shared_ptr<serve::InferenceSession> session, int port,
   options.reload_fn = std::move(reload_fn);
   auto server = serve::net::NetServer::Start(std::move(session), options);
   if (!server.ok()) return Fail(server.status());
-  AdminPlane admin_plane;
+  serve::net::AdminPlane admin_plane;
   if (admin_port >= 0) {
-    auto plane = StartAdminPlane(admin_port, slo_ms, server->get());
+    // Without an explicit --slo_ms, judge against 50 ms: generous for
+    // in-process smoke traffic, tight enough to mean something.
+    auto plane = serve::net::StartAdminPlane(
+        server->get(), admin_port,
+        static_cast<double>(slo_ms > 0 ? slo_ms : 50) * 1000.0);
     if (!plane.ok()) return Fail(plane.status());
     admin_plane = std::move(*plane);
+    std::printf(
+        "admin plane on 127.0.0.1:%d (/healthz /metrics /varz /tracez "
+        "/profilez)\n",
+        admin_plane.server->port());
+    std::fflush(stdout);  // scripts grep for the admin port line too
   }
   return ServeUntilDrained(server->get(), watcher);
 }

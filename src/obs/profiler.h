@@ -231,10 +231,12 @@ class Profiler {
   /// WIDEN_ROOFLINE_GFLOPS / WIDEN_ROOFLINE_GBS environment variables.
   double RidgeFlopsPerByte() const;
 
-  // Documented scalar-CPU roofline defaults (no SIMD yet — ROADMAP item):
-  // ~2 FLOPs/cycle at ~4 GHz against ~10 GB/s sustained single-core DRAM
-  // bandwidth. Deliberately round numbers; the classification only needs
-  // the right order of magnitude.
+  // Documented scalar-CPU roofline defaults: ~2 FLOPs/cycle at ~4 GHz
+  // against ~10 GB/s sustained single-core DRAM bandwidth. Deliberately
+  // round numbers. The SIMD MatMul kernels (tensor/simd/) outrun this peak:
+  // perfbench's traced kernels.matmul_gflops has read 23-44 GFLOP/s on
+  // AVX2, so with the defaults MatMul rows are classified against a ridge
+  // they exceed. Set WIDEN_ROOFLINE_GFLOPS to the host's measured peak.
   static constexpr double kDefaultPeakGflops = 8.0;
   static constexpr double kDefaultPeakGbs = 10.0;
 

@@ -27,14 +27,12 @@ int ThresholdBucket(double threshold_us) {
 
 }  // namespace
 
-SloEngine::SloEngine(Options options) : options_(std::move(options)) {
-  WIDEN_CHECK(!options_.objectives.empty()) << "SloEngine with no objectives";
+SloEngine::SloEngine(std::vector<SloObjective> objectives) {
+  WIDEN_CHECK(!objectives.empty()) << "SloEngine with no objectives";
   auto& registry = MetricsRegistry::Get();
-  for (const SloObjective& objective : options_.objectives) {
+  for (const SloObjective& objective : objectives) {
     WIDEN_CHECK(objective.hist != nullptr)
         << "SLO objective '" << objective.op << "' has no histogram";
-    WIDEN_CHECK(objective.objective > 0.0 && objective.objective < 1.0)
-        << "SLO objective for '" << objective.op << "' must be in (0, 1)";
     Tracked tracked;
     tracked.objective = objective;
     tracked.threshold_bucket = ThresholdBucket(objective.threshold_us);
@@ -65,16 +63,15 @@ void SloEngine::TickAt(double now_seconds) {
     }
     tracked.samples.push_back(sample);
     // Keep one sample older than the long window so diffs can span it.
-    while (tracked.samples.size() > options_.max_samples ||
+    while (tracked.samples.size() > kMaxSamples ||
            (tracked.samples.size() > 2 &&
-            now_seconds - tracked.samples[1].t >
-                options_.long_window_seconds)) {
+            now_seconds - tracked.samples[1].t > kLongWindowSeconds)) {
       tracked.samples.pop_front();
     }
     const SloWindowReport short_report =
-        WindowReport(tracked, options_.short_window_seconds);
+        WindowReport(tracked, kShortWindowSeconds);
     const SloWindowReport long_report =
-        WindowReport(tracked, options_.long_window_seconds);
+        WindowReport(tracked, kLongWindowSeconds);
     tracked.attainment_short->Set(short_report.attainment);
     tracked.burn_short->Set(short_report.burn_rate);
     tracked.burn_long->Set(long_report.burn_rate);
@@ -82,7 +79,7 @@ void SloEngine::TickAt(double now_seconds) {
 }
 
 SloWindowReport SloEngine::WindowReport(const Tracked& tracked,
-                                        double window_seconds) const {
+                                        double window_seconds) {
   SloWindowReport report;
   if (tracked.samples.empty()) return report;
   const Sample& newest = tracked.samples.back();
@@ -101,8 +98,7 @@ SloWindowReport SloEngine::WindowReport(const Tracked& tracked,
       report.total > 0
           ? static_cast<double>(good) / static_cast<double>(report.total)
           : 1.0;
-  report.burn_rate = (1.0 - report.attainment) /
-                     (1.0 - tracked.objective.objective);
+  report.burn_rate = (1.0 - report.attainment) / (1.0 - kObjective);
   return report;
 }
 
@@ -113,9 +109,8 @@ std::vector<SloReport> SloEngine::Report() const {
     SloReport report;
     report.op = tracked.objective.op;
     report.threshold_us = tracked.objective.threshold_us;
-    report.objective = tracked.objective.objective;
-    report.short_window = WindowReport(tracked, options_.short_window_seconds);
-    report.long_window = WindowReport(tracked, options_.long_window_seconds);
+    report.short_window = WindowReport(tracked, kShortWindowSeconds);
+    report.long_window = WindowReport(tracked, kLongWindowSeconds);
     reports.push_back(std::move(report));
   }
   return reports;
@@ -124,9 +119,8 @@ std::vector<SloReport> SloEngine::Report() const {
 bool SloEngine::Degraded() const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const Tracked& tracked : tracked_) {
-    const SloWindowReport report =
-        WindowReport(tracked, options_.short_window_seconds);
-    if (report.total > 0 && report.attainment < tracked.objective.objective) {
+    const SloWindowReport report = WindowReport(tracked, kShortWindowSeconds);
+    if (report.total > 0 && report.attainment < kObjective) {
       return true;
     }
   }
@@ -141,7 +135,7 @@ std::string SloEngine::DumpJson() const {
     const SloReport& r = reports[i];
     out << (i == 0 ? "\n" : ",\n") << "{\"op\": \"" << r.op
         << "\", \"threshold_us\": " << r.threshold_us << ", \"objective\": "
-        << r.objective << ", \"short\": {\"total\": " << r.short_window.total
+        << kObjective << ", \"short\": {\"total\": " << r.short_window.total
         << ", \"attainment\": " << r.short_window.attainment
         << ", \"burn_rate\": " << r.short_window.burn_rate
         << "}, \"long\": {\"total\": " << r.long_window.total

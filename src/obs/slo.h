@@ -32,42 +32,40 @@
 
 namespace widen::obs {
 
-/// One latency SLO: "fraction `objective` of `op` requests complete within
-/// `threshold_us`", judged against `hist`'s recorded values.
+/// One latency SLO: "fraction SloEngine::kObjective of `op` requests
+/// complete within `threshold_us`", judged against `hist`'s recorded values.
 struct SloObjective {
   std::string op;          // short label, used in gauge names ("embed")
   Histogram* hist = nullptr;
   double threshold_us = 0;
-  double objective = 0.99;  // target good fraction, in (0, 1)
 };
 
 /// Attainment/burn-rate over one window for one objective.
 struct SloWindowReport {
   int64_t total = 0;        // requests finished inside the window
   double attainment = 1.0;  // good / total (1.0 when total == 0)
-  double burn_rate = 0.0;   // (1 - attainment) / (1 - objective)
+  double burn_rate = 0.0;   // (1 - attainment) / (1 - kObjective)
 };
 
 struct SloReport {
   std::string op;
   double threshold_us = 0;
-  double objective = 0;
   SloWindowReport short_window;
   SloWindowReport long_window;
 };
 
 class SloEngine {
  public:
-  struct Options {
-    std::vector<SloObjective> objectives;
-    double short_window_seconds = 300;   // 5 m
-    double long_window_seconds = 3600;   // 1 h
-    /// Sample ring bound per objective; at one Tick() per second this holds
-    /// comfortably more than the long window.
-    size_t max_samples = 4096;
-  };
+  /// Target good fraction of every objective.
+  static constexpr double kObjective = 0.99;
+  /// Window lengths. The exported gauge names spell them out (_5m, _1h).
+  static constexpr double kShortWindowSeconds = 300;
+  static constexpr double kLongWindowSeconds = 3600;
+  /// Sample ring bound per objective; at one Tick() per second this holds
+  /// comfortably more than the long window.
+  static constexpr size_t kMaxSamples = 4096;
 
-  explicit SloEngine(Options options);
+  explicit SloEngine(std::vector<SloObjective> objectives);
 
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
@@ -105,10 +103,9 @@ class SloEngine {
     Gauge* burn_long = nullptr;
   };
 
-  SloWindowReport WindowReport(const Tracked& tracked,
-                               double window_seconds) const;
+  static SloWindowReport WindowReport(const Tracked& tracked,
+                                      double window_seconds);
 
-  Options options_;
   mutable std::mutex mu_;
   std::vector<Tracked> tracked_;
 };

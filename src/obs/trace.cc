@@ -30,7 +30,6 @@ struct Registry {
   std::mutex mu;
   std::vector<ThreadBuffer*> buffers;  // leaked at exit; trivially small
   std::atomic<size_t> total_events{0};
-  std::atomic<size_t> max_events{TraceRecorder::kDefaultMaxEvents};
   std::atomic<size_t> dropped_events{0};
 };
 
@@ -57,7 +56,7 @@ ThreadBuffer& GetThreadBuffer() {
 void AppendEvent(const Event& event) {
   Registry& reg = GetRegistry();
   if (reg.total_events.load(std::memory_order_relaxed) >=
-      reg.max_events.load(std::memory_order_relaxed)) {
+      TraceRecorder::kMaxEvents) {
     reg.dropped_events.fetch_add(1, std::memory_order_relaxed);
     WIDEN_METRIC_COUNTER(dropped, "widen_trace_dropped_spans_total",
                          "Trace spans dropped at the TraceRecorder cap");
@@ -93,16 +92,6 @@ void TraceRecorder::Clear() {
     buffer->events.clear();
   }
   reg.total_events.store(0, std::memory_order_relaxed);
-}
-
-void TraceRecorder::SetMaxEvents(size_t max_events) {
-  internal_trace::GetRegistry().max_events.store(max_events,
-                                                 std::memory_order_relaxed);
-}
-
-size_t TraceRecorder::MaxEvents() {
-  return internal_trace::GetRegistry().max_events.load(
-      std::memory_order_relaxed);
 }
 
 size_t TraceRecorder::DroppedCount() const {

@@ -79,13 +79,11 @@ class TraceRecorder {
   /// of waiting for exit. OK no-op when no exit path is installed.
   Status Flush();
 
-  /// Buffers stop growing past this many events in total; events beyond
-  /// the cap are dropped and counted (widen_trace_dropped_spans_total and
-  /// DroppedCount()). Runtime-settable backstop for long-running servers;
-  /// raising the cap resumes recording, it never truncates what is buffered.
-  static void SetMaxEvents(size_t max_events);
-  static size_t MaxEvents();
-  static constexpr size_t kDefaultMaxEvents = 1u << 20;
+  /// Buffers stop growing past this many events in total (32 MiB of
+  /// events); events beyond the cap are dropped and counted
+  /// (widen_trace_dropped_spans_total and DroppedCount()) until Clear() or
+  /// Flush() empties the buffers.
+  static constexpr size_t kMaxEvents = 1u << 20;
 
   /// Events dropped at the cap since process start (not reset by Clear()).
   size_t DroppedCount() const;

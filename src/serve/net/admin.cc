@@ -1,7 +1,5 @@
 #include "serve/net/admin.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -17,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "serve/net/sockets.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -26,10 +25,6 @@ namespace {
 
 /// Anything past this is not an admin request; cut the connection.
 constexpr size_t kMaxAdminRequestBytes = 8192;
-
-Status Errno(const char* what) {
-  return Status::IOError(StrCat(what, ": ", std::strerror(errno)));
-}
 
 const char* StatusLine(int status) {
   switch (status) {
@@ -75,39 +70,11 @@ bool SendAll(int fd, const char* data, size_t size) {
 
 StatusOr<std::unique_ptr<AdminServer>> AdminServer::Start(
     const AdminOptions& options) {
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd < 0) return Errno("socket");
-  const int enable = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
-  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd);
-    return Status::InvalidArgument(
-        StrCat("cannot parse IPv4 address '", options.host, "'"));
-  }
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const Status status = Errno("bind");
-    ::close(listen_fd);
-    return status;
-  }
-  if (::listen(listen_fd, 16) != 0) {
-    const Status status = Errno("listen");
-    ::close(listen_fd);
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) != 0) {
-    const Status status = Errno("getsockname");
-    ::close(listen_fd);
-    return status;
-  }
-  const int port = ntohs(addr.sin_port);
+  WIDEN_ASSIGN_OR_RETURN(ListeningSocket listener,
+                         ListenTcp(options.host, options.port,
+                                   /*backlog=*/16, /*type_flags=*/0));
   return std::unique_ptr<AdminServer>(
-      new AdminServer(options, listen_fd, port));
+      new AdminServer(options, listener.fd, listener.port));
 }
 
 AdminServer::AdminServer(AdminOptions options, int listen_fd, int port)
@@ -153,7 +120,7 @@ void AdminServer::ServeLoop() {
 }
 
 void AdminServer::ServeOne(int fd) {
-  SetSocketTimeouts(fd, options_.socket_timeout_millis);
+  SetSocketTimeouts(fd, kSocketTimeoutMillis);
   const int enable = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
 
@@ -256,8 +223,8 @@ void AdminServer::Handle(const std::string& method, const std::string& path,
       WIDEN_LOG(Warning) << "trace flush failed: " << flushed.message();
     }
     *content_type = "application/json";
-    *body = obs::FlightRecorder::Get().DumpJson(options_.tracez_slowest,
-                                                options_.tracez_recent);
+    *body = obs::FlightRecorder::Get().DumpJson(kTracezRecords,
+                                                kTracezRecords);
     return;
   }
   if (path == "/profilez") {
@@ -273,17 +240,10 @@ void AdminServer::Handle(const std::string& method, const std::string& path,
 StatusOr<std::string> AdminHttpGet(const std::string& host, int port,
                                    const std::string& path,
                                    int* status_code) {
+  WIDEN_ASSIGN_OR_RETURN(sockaddr_in addr, Ipv4Address(host, port));
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Errno("socket");
   SetSocketTimeouts(fd, 5000);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument(
-        StrCat("cannot parse IPv4 address '", host, "'"));
-  }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     const Status status = Errno("connect");
     ::close(fd);

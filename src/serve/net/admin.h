@@ -8,7 +8,7 @@
 //   GET /healthz   200 "ok" | 503 "draining" | 503 "degraded" (+ SLO JSON)
 //   GET /metrics   Prometheus text from the live MetricsRegistry
 //   GET /varz      MetricsRegistry JSON
-//   GET /tracez    flight-recorder dump (N slowest + N most recent), after
+//   GET /tracez    flight-recorder dump (32 slowest + 32 most recent), after
 //                  flushing the Chrome-trace recorder if one is installed
 //   GET /profilez  roofline profiler snapshot JSON
 //
@@ -35,7 +35,8 @@ namespace widen::serve::net {
 
 struct AdminOptions {
   std::string host = "127.0.0.1";
-  /// 0 asks the kernel for an ephemeral port (see AdminServer::port()).
+  /// In [0, 65535]; 0 asks the kernel for an ephemeral port (see
+  /// AdminServer::port()).
   int port = 0;
   /// Liveness callback for /healthz: return false with a reason ("draining")
   /// to answer 503. Unset = always healthy (modulo SLO degradation).
@@ -44,15 +45,15 @@ struct AdminOptions {
   /// drives the SLO windows) and /healthz reports 503 "degraded" while any
   /// short-window objective is missed. Not owned; must outlive the server.
   obs::SloEngine* slo = nullptr;
-  /// /tracez dump sizes.
-  size_t tracez_slowest = 32;
-  size_t tracez_recent = 32;
-  /// Per-connection socket recv/send timeout.
-  int64_t socket_timeout_millis = 2000;
 };
 
 class AdminServer {
  public:
+  /// /tracez dumps this many slowest and this many most recent records.
+  static constexpr size_t kTracezRecords = 32;
+  /// Per-connection socket recv/send timeout.
+  static constexpr int64_t kSocketTimeoutMillis = 2000;
+
   /// Binds, listens, and starts the serving thread.
   static StatusOr<std::unique_ptr<AdminServer>> Start(
       const AdminOptions& options);

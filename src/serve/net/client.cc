@@ -1,7 +1,5 @@
 #include "serve/net/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,30 +8,16 @@
 #include <cstring>
 #include <utility>
 
+#include "serve/net/sockets.h"
 #include "util/string_util.h"
 
 namespace widen::serve::net {
 
-namespace {
-
-Status Errno(const char* what) {
-  return Status::IOError(StrCat(what, ": ", std::strerror(errno)));
-}
-
-}  // namespace
-
 StatusOr<std::unique_ptr<NetClient>> NetClient::Connect(const std::string& host,
                                                         int port) {
+  WIDEN_ASSIGN_OR_RETURN(sockaddr_in addr, Ipv4Address(host, port));
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Errno("socket");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument(
-        StrCat("cannot parse IPv4 address '", host, "'"));
-  }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     const Status status = Errno("connect");
     ::close(fd);

@@ -1,7 +1,5 @@
 #include "serve/net/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -18,6 +16,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
+#include "serve/net/sockets.h"
 #include "serve/request_context.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -30,6 +29,8 @@ namespace {
 constexpr uint64_t kListenTag = 0;
 constexpr uint64_t kWakeTag = 1;
 
+constexpr int kListenBacklog = 64;
+
 // Compact the parsed prefix of a connection's input buffer once it crosses
 // this size — amortized O(1) erase instead of per-frame memmove.
 constexpr size_t kCompactThreshold = 1u << 20;
@@ -41,10 +42,6 @@ struct NetMetrics {
   obs::Counter* protocol_errors;
   obs::Counter* reloads;
   obs::Gauge* connections;
-  // Admission-to-completion wall time per op, the server-side latency the
-  // SLO engine judges (client-side numbers include the network).
-  obs::Histogram* embed_request_us;
-  obs::Histogram* predict_request_us;
 
   static const NetMetrics& Get() {
     static const NetMetrics m = {
@@ -64,18 +61,23 @@ struct NetMetrics {
             "widen_net_reloads_total", "Hot checkpoint reloads completed"),
         obs::MetricsRegistry::Get().GetGauge(
             "widen_net_connections", "Currently open client connections"),
-        obs::MetricsRegistry::Get().GetHistogram(
-            "widen_net_embed_request_us",
-            "Embed request wall time, admission to completion "
-            "(microseconds)"),
-        obs::MetricsRegistry::Get().GetHistogram(
-            "widen_net_predict_request_us",
-            "Predict request wall time, admission to completion "
-            "(microseconds)"),
     };
     return m;
   }
 };
+
+// Admission-to-completion wall time of an Embed or Predict request: the
+// server-side latency the admin plane's SLO engine judges (client-side
+// numbers include the network).
+obs::Histogram* RequestHistogram(NetOp op) {
+  WIDEN_METRIC_HISTOGRAM(embed, "widen_net_embed_request_us",
+                         "Embed request wall time, admission to completion "
+                         "(microseconds)");
+  WIDEN_METRIC_HISTOGRAM(predict, "widen_net_predict_request_us",
+                         "Predict request wall time, admission to completion "
+                         "(microseconds)");
+  return op == NetOp::kPredict ? predict : embed;
+}
 
 // Saturating narrowing for FlightRecord's compact fields.
 template <typename To>
@@ -111,12 +113,8 @@ void FinishTracked(RequestContext* ctx, int64_t slo_warn_ms) {
   if (ctx == nullptr || !obs::MetricsEnabled()) return;
   ctx->replied_us = obs::MonotonicMicros();
   const int64_t total_us = ctx->replied_us - ctx->admitted_us;
-  const NetMetrics& metrics = NetMetrics::Get();
-  if (ctx->op == static_cast<uint8_t>(NetOp::kPredict)) {
-    metrics.predict_request_us->Record(static_cast<double>(total_us));
-  } else {
-    metrics.embed_request_us->Record(static_cast<double>(total_us));
-  }
+  RequestHistogram(static_cast<NetOp>(ctx->op))
+      ->Record(static_cast<double>(total_us));
   obs::FlightRecorder::Get().Record(ToFlightRecord(*ctx));
   if (slo_warn_ms > 0 && total_us > slo_warn_ms * 1000) {
     static std::atomic<int64_t> last_warn_us{-1'000'000};
@@ -139,10 +137,6 @@ void FinishTracked(RequestContext* ctx, int64_t slo_warn_ms) {
   }
 }
 
-Status Errno(const char* what) {
-  return Status::IOError(StrCat(what, ": ", std::strerror(errno)));
-}
-
 }  // namespace
 
 StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
@@ -150,43 +144,11 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
   if (session == nullptr) {
     return Status::InvalidArgument("initial session must not be null");
   }
-  if (options.max_inflight_requests <= 0) {
-    return Status::InvalidArgument("max_inflight_requests must be > 0");
-  }
-  const int listen_fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd < 0) return Errno("socket");
-  const int enable = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
-  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd);
-    return Status::InvalidArgument(
-        StrCat("cannot parse IPv4 address '", options.host, "'"));
-  }
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const Status status = Errno("bind");
-    ::close(listen_fd);
-    return status;
-  }
-  if (::listen(listen_fd, options.backlog) != 0) {
-    const Status status = Errno("listen");
-    ::close(listen_fd);
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) != 0) {
-    const Status status = Errno("getsockname");
-    ::close(listen_fd);
-    return status;
-  }
-  const int port = ntohs(addr.sin_port);
-  return std::unique_ptr<NetServer>(
-      new NetServer(std::move(session), options, listen_fd, port));
+  WIDEN_ASSIGN_OR_RETURN(ListeningSocket listener,
+                         ListenTcp(options.host, options.port, kListenBacklog,
+                                   SOCK_NONBLOCK));
+  return std::unique_ptr<NetServer>(new NetServer(
+      std::move(session), options, listener.fd, listener.port));
 }
 
 NetServer::NetServer(std::shared_ptr<InferenceSession> session,
@@ -388,8 +350,7 @@ void NetServer::IoLoop() {
     if (draining_.load()) {
       if (!drain_started) {
         drain_started = true;
-        drain_deadline = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(options_.drain_grace_millis);
+        drain_deadline = std::chrono::steady_clock::now() + kDrainGrace;
         if (listen_open) {
           ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
           ::close(listen_fd_);
@@ -537,12 +498,13 @@ void NetServer::DispatchRequest(Conn* conn, NetRequest request) {
   if (request.op == NetOp::kReload && !options_.reload_fn) {
     Reply(conn, ErrorResponse(request,
                               Status::FailedPrecondition(
-                                  "server was started without --reload")));
+                                  "server was started without a reload "
+                                  "function")));
     return;
   }
   // Admission control: bounded in-flight work. fetch_add-then-check keeps
   // the bound exact under concurrent dispatch.
-  if (inflight_.fetch_add(1) >= options_.max_inflight_requests) {
+  if (inflight_.fetch_add(1) >= kMaxInflightRequests) {
     inflight_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -552,7 +514,7 @@ void NetServer::DispatchRequest(Conn* conn, NetRequest request) {
     Reply(conn, ErrorResponse(
                     request,
                     Status::Unavailable(StrCat(
-                        "server over capacity (", options_.max_inflight_requests,
+                        "server over capacity (", kMaxInflightRequests,
                         " requests in flight); retry with backoff"))));
     return;
   }
@@ -785,6 +747,24 @@ void NetServer::UpdateEpoll(Conn* conn) {
   ev.events = EPOLLIN | (conn->want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
   ev.data.u64 = conn->id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+}
+
+StatusOr<AdminPlane> StartAdminPlane(NetServer* net, int port,
+                                     double slo_threshold_us) {
+  AdminPlane plane;
+  plane.slo = std::make_unique<obs::SloEngine>(std::vector<obs::SloObjective>{
+      {"embed", RequestHistogram(NetOp::kEmbed), slo_threshold_us},
+      {"predict", RequestHistogram(NetOp::kPredict), slo_threshold_us}});
+  AdminOptions options;
+  options.port = port;
+  options.slo = plane.slo.get();
+  options.health_fn = [net](std::string* reason) {
+    if (!net->draining()) return true;
+    *reason = "draining";
+    return false;
+  };
+  WIDEN_ASSIGN_OR_RETURN(plane.server, AdminServer::Start(options));
+  return plane;
 }
 
 }  // namespace widen::serve::net

@@ -10,11 +10,11 @@
 // epoll loop through an eventfd — the I/O thread never blocks on compute,
 // and no thread but the I/O thread touches a socket.
 //
-// Admission control: at most `max_inflight_requests` decoded requests may be
-// outstanding (queued in the batcher, running in a batch, or waiting on the
-// control thread). Past the bound, new requests get an immediate
-// kUnavailable response instead of a queue slot — overload fails fast and
-// keeps p99 for admitted traffic honest.
+// Admission control: at most NetServer::kMaxInflightRequests decoded
+// requests may be outstanding (queued in the batcher, running in a batch, or
+// waiting on the control thread). Past the bound, new requests get an
+// immediate kUnavailable response instead of a queue slot — overload fails
+// fast and keeps p99 for admitted traffic honest.
 //
 // Hot reload: the serving session lives behind a mutex-guarded shared_ptr
 // with a generation counter. Reload() installs a freshly loaded session;
@@ -26,13 +26,18 @@
 // Graceful drain: SignalDrain() (safe to call from a signal-watcher thread)
 // stops accepting connections and sets the draining flag on every response;
 // clients wind down, the server answers everything already received, and
-// Join() returns once the last connection closes (or the grace period
+// Join() returns once the last connection closes (or NetServer::kDrainGrace
 // expires). Nothing admitted is ever dropped.
+//
+// Admin plane: StartAdminPlane() puts the HTTP introspection listener
+// (admin.h) and an SLO engine over the server's own request histograms next
+// to a NetServer.
 
 #ifndef WIDEN_SERVE_NET_SERVER_H_
 #define WIDEN_SERVE_NET_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -44,7 +49,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/slo.h"
 #include "serve/inference_session.h"
+#include "serve/net/admin.h"
 #include "serve/net/protocol.h"
 #include "serve/request_batcher.h"
 
@@ -54,14 +61,9 @@ struct ServerOptions {
   /// Address to bind; the default loopback keeps the server private to the
   /// host unless explicitly exposed.
   std::string host = "127.0.0.1";
-  /// TCP port; 0 asks the kernel for an ephemeral port (see port()).
+  /// TCP port in [0, 65535]; 0 asks the kernel for an ephemeral port (see
+  /// port()).
   int port = 0;
-  int backlog = 64;
-  /// Admission bound: decoded requests outstanding across all connections.
-  int64_t max_inflight_requests = 256;
-  /// How long a drain waits for clients to finish and hang up before
-  /// force-closing what is left.
-  int64_t drain_grace_millis = 5000;
   /// Loads a replacement session for hot reload. Reload requests (wire op or
   /// Reload()) fail with kFailedPrecondition when unset.
   std::function<StatusOr<std::shared_ptr<InferenceSession>>()> reload_fn;
@@ -75,6 +77,12 @@ struct ServerOptions {
 
 class NetServer {
  public:
+  /// Admission bound: decoded requests outstanding across all connections.
+  static constexpr int64_t kMaxInflightRequests = 256;
+  /// How long a drain waits for clients to finish and hang up before
+  /// force-closing what is left.
+  static constexpr std::chrono::milliseconds kDrainGrace{5000};
+
   /// Binds, listens, and starts the I/O + control threads. `session` is the
   /// initial serving session (generation 0).
   static StatusOr<std::unique_ptr<NetServer>> Start(
@@ -190,6 +198,20 @@ class NetServer {
   std::thread control_thread_;
   std::thread io_thread_;  // last: starts in Start() after state is ready
 };
+
+/// The admin plane of one NetServer (DESIGN.md §16). Members are destroyed
+/// in reverse order, so the listener stops before the engine it reads.
+struct AdminPlane {
+  std::unique_ptr<obs::SloEngine> slo;
+  std::unique_ptr<AdminServer> server;
+};
+
+/// Starts the admin plane for `net` on 127.0.0.1:`port` (0 asks the kernel;
+/// see AdminPlane::server->port()). The SLO engine judges `net`'s embed and
+/// predict request histograms against `slo_threshold_us`, and /healthz
+/// answers 503 "draining" once `net` drains. `net` must outlive the plane.
+StatusOr<AdminPlane> StartAdminPlane(NetServer* net, int port,
+                                     double slo_threshold_us);
 
 }  // namespace widen::serve::net
 

@@ -76,11 +76,15 @@ struct ShardHeader {
 
 /// How global node ids map to (shard, local index).
 enum class PartitionKind : uint8_t {
-  /// shard = min(v / block_size, num_shards - 1); local = v - shard * block.
+  /// shard = v / block_size; local = v - shard * block_size. The decoder
+  /// rejects a block size that would put a node past the last shard, and
+  /// each shard holds min(block_size, num_nodes - shard * block_size) nodes.
   /// Used by the streaming builders; the resolver needs no per-node state.
   kUniformBlocks = 1,
   /// Explicit per-node arrays (GreedyPartition output). The manifest carries
-  /// shard_of[] and local_of[]; O(1) lookups at 8 bytes of RAM per node.
+  /// shard_of[] and local_of[]; O(1) lookups at 8 bytes of RAM per node. A
+  /// shard holds exactly the nodes mapped to it, each local index below that
+  /// count.
   kExplicitMap = 2,
 };
 

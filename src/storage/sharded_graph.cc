@@ -226,6 +226,36 @@ Status ParseShard(const std::string& path, const Manifest& manifest,
   return Status::OK();
 }
 
+// How many nodes the manifest's resolver maps to each shard. Locate() indexes
+// a shard's arrays with the resolver's local index, so each shard file must
+// hold exactly this many nodes, and every explicit local index must fall
+// inside its shard.
+StatusOr<std::vector<int64_t>> ResolverShardSizes(const Manifest& manifest,
+                                                  const std::string& dir) {
+  std::vector<int64_t> sizes(static_cast<size_t>(manifest.num_shards), 0);
+  if (manifest.partition_kind == PartitionKind::kUniformBlocks) {
+    // Shard s holds min(block_size, num_nodes - s * block_size), floored at
+    // 0, written without the product a corrupt block size could overflow.
+    int64_t left = manifest.num_nodes;
+    for (int64_t& size : sizes) {
+      size = std::min(left, manifest.block_size);
+      left -= size;
+    }
+    return sizes;
+  }
+  for (const int32_t s : manifest.shard_of) ++sizes[static_cast<size_t>(s)];
+  for (size_t v = 0; v < manifest.local_of.size(); ++v) {
+    const size_t s = static_cast<size_t>(manifest.shard_of[v]);
+    if (manifest.local_of[v] >= sizes[s]) {
+      return Status::InvalidArgument(
+          StrCat("corrupt shard store ", dir, ": node ", v, " has local index ",
+                 manifest.local_of[v], " in shard ", s, " of ", sizes[s],
+                 " nodes"));
+    }
+  }
+  return sizes;
+}
+
 }  // namespace
 
 StatusOr<ShardedGraph> ShardedGraph::Open(const std::string& dir,
@@ -235,12 +265,14 @@ StatusOr<ShardedGraph> ShardedGraph::Open(const std::string& dir,
                          ReadFileToString(manifest_path));
   WIDEN_ASSIGN_OR_RETURN(Manifest manifest, DecodeManifest(manifest_bytes));
 
+  WIDEN_ASSIGN_OR_RETURN(const std::vector<int64_t> shard_sizes,
+                         ResolverShardSizes(manifest, dir));
+
   ShardedGraph g;
   g.manifest_ = std::move(manifest);
   g.shards_ = std::make_unique<std::vector<Shard>>();
   g.shards_->reserve(static_cast<size_t>(g.manifest_.num_shards));
 
-  int64_t total_nodes = 0;
   int64_t total_half_edges = 0;
   for (int32_t s = 0; s < g.manifest_.num_shards; ++s) {
     const std::string path = dir + "/" + ShardFileName(s);
@@ -250,16 +282,20 @@ StatusOr<ShardedGraph> ShardedGraph::Open(const std::string& dir,
     Shard shard;
     WIDEN_ASSIGN_OR_RETURN(shard.file, MappedFile::Open(path));
     WIDEN_RETURN_IF_ERROR(ParseShard(path, g.manifest_, s, &shard));
-    total_nodes += shard.num_local_nodes;
+    if (shard.num_local_nodes != shard_sizes[static_cast<size_t>(s)]) {
+      return Corrupt(path, StrCat("holds ", shard.num_local_nodes,
+                                  " nodes but the manifest maps ",
+                                  shard_sizes[static_cast<size_t>(s)],
+                                  " to it"));
+    }
     total_half_edges += shard.num_half_edges;
     g.shards_->push_back(std::move(shard));
   }
-  if (total_nodes != g.manifest_.num_nodes ||
-      total_half_edges != g.manifest_.num_half_edges) {
+  // The per-shard node counts above sum to num_nodes by construction.
+  if (total_half_edges != g.manifest_.num_half_edges) {
     return Status::InvalidArgument(
         StrCat("corrupt shard store ", dir,
-               ": shard totals disagree with manifest (nodes ", total_nodes,
-               " vs ", g.manifest_.num_nodes, ", half-edges ",
+               ": shard half-edge total disagrees with manifest (",
                total_half_edges, " vs ", g.manifest_.num_half_edges, ")"));
   }
   return g;

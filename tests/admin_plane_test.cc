@@ -311,12 +311,7 @@ TEST(SloEngineTest, AttainmentAndBurnRateMatchClosedForm) {
   obs::SetMetricsEnabled(true);
   obs::Histogram* hist = obs::MetricsRegistry::Get().GetHistogram(
       "test_slo_closed_form_us", "closed-form SLO fixture");
-  obs::SloEngine::Options options;
-  options.objectives = {{"cf", hist, /*threshold_us=*/1000.0,
-                         /*objective=*/0.99}};
-  options.short_window_seconds = 300;
-  options.long_window_seconds = 3600;
-  obs::SloEngine engine(std::move(options));
+  obs::SloEngine engine({{"cf", hist, /*threshold_us=*/1000.0}});
 
   engine.TickAt(0.0);  // empty baseline sample
 
@@ -413,6 +408,22 @@ TEST(AdminServerTest, RejectsMalformedOversizedAndUnknownRequests) {
   EXPECT_EQ(code, 200);
 }
 
+TEST(AdminServerTest, RejectsPortsOutsideTheTcpRange) {
+  // A port past 16 bits must not wrap: 65536 would otherwise bind an
+  // ephemeral port and 70000 port 4464.
+  for (const int port : {-1, 65536, 70000}) {
+    AdminOptions options;
+    options.port = port;
+    auto server = AdminServer::Start(options);
+    ASSERT_FALSE(server.ok()) << "port " << port;
+    EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+
+    auto get = AdminHttpGet("127.0.0.1", port, "/healthz");
+    ASSERT_FALSE(get.ok()) << "port " << port;
+    EXPECT_EQ(get.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(AdminServerTest, ScrapesParseBackUnderLiveLoadAndHealthzFlipsOnDrain) {
   obs::SetMetricsEnabled(true);
   obs::FlightRecorder::Get().Clear();
@@ -426,28 +437,9 @@ TEST(AdminServerTest, ScrapesParseBackUnderLiveLoadAndHealthzFlipsOnDrain) {
   ASSERT_TRUE(net_server.ok()) << net_server.status().ToString();
   NetServer* net = net_server->get();
 
-  obs::SloEngine::Options slo_options;
-  slo_options.objectives = {
-      {"embed",
-       obs::MetricsRegistry::Get().GetHistogram(
-           "widen_net_embed_request_us",
-           "Embed request wall time, admission to completion (microseconds)"),
-       /*threshold_us=*/5e6, 0.99}};
-  obs::SloEngine slo(std::move(slo_options));
-
-  AdminOptions admin_options;
-  admin_options.port = 0;
-  admin_options.slo = &slo;
-  admin_options.health_fn = [net](std::string* reason) {
-    if (net->draining()) {
-      *reason = "draining";
-      return false;
-    }
-    return true;
-  };
-  auto admin = AdminServer::Start(admin_options);
+  auto admin = StartAdminPlane(net, /*port=*/0, /*slo_threshold_us=*/5e6);
   ASSERT_TRUE(admin.ok()) << admin.status().ToString();
-  const int admin_port = (*admin)->port();
+  const int admin_port = admin->server->port();
 
   // Live load: three clients, traced requests, echo verified per response.
   std::atomic<int64_t> failures{0};
@@ -491,6 +483,8 @@ TEST(AdminServerTest, ScrapesParseBackUnderLiveLoadAndHealthzFlipsOnDrain) {
     Status valid = obs::ValidatePrometheusText(*metrics);
     EXPECT_TRUE(valid.ok()) << valid.ToString();
     EXPECT_NE(metrics->find("widen_slo_embed_attainment_5m"),
+              std::string::npos);
+    EXPECT_NE(metrics->find("widen_slo_predict_attainment_5m"),
               std::string::npos);
 
     auto varz = AdminHttpGet("127.0.0.1", admin_port, "/varz", &code);

@@ -430,6 +430,37 @@ TEST(TraceTest, NestedSpansRecordTheirDepth) {
   recorder.Clear();
 }
 
+TEST(TraceTest, BufferStopsAtTheCapCountsDropsAndResumesAfterClear) {
+  SetMetricsEnabled(true);
+  TraceRecorder& recorder = TraceRecorder::Get();
+  recorder.Clear();
+  recorder.Start();
+  // kRunBatch has a trace category and no other sink.
+  for (size_t i = 0; i < TraceRecorder::kMaxEvents; ++i) {
+    StageScope scope(Stage::kRunBatch);
+  }
+  EXPECT_EQ(recorder.EventCount(), TraceRecorder::kMaxEvents);
+
+  // The first drop registers the dropped-span counter; count from there.
+  { StageScope probe(Stage::kRunBatch); }
+  Counter* dropped =
+      MetricsRegistry::Get().GetCounter("widen_trace_dropped_spans_total", "");
+  const int64_t counted_before = dropped->Value();
+  const size_t dropped_before = recorder.DroppedCount();
+  constexpr int kBeyondCap = 1000;
+  for (int i = 0; i < kBeyondCap; ++i) StageScope scope(Stage::kRunBatch);
+  EXPECT_EQ(recorder.EventCount(), TraceRecorder::kMaxEvents);
+  EXPECT_EQ(dropped->Value() - counted_before, kBeyondCap);
+  EXPECT_EQ(recorder.DroppedCount() - dropped_before,
+            static_cast<size_t>(kBeyondCap));
+
+  recorder.Clear();
+  { StageScope scope(Stage::kRunBatch); }
+  EXPECT_EQ(recorder.EventCount(), 1u);
+  recorder.Stop();
+  recorder.Clear();
+}
+
 // ---------------------------------------------------------------------------
 // Disabled paths are free.
 // ---------------------------------------------------------------------------

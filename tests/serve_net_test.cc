@@ -387,11 +387,10 @@ TEST(NetServerTest, AdmissionControlFastFailsPastTheInflightBound) {
   const core::WidenConfig config = SmallConfig();
   const std::string path = WriteColdCheckpoint(chain, config, "net_adm.wdnt");
 
-  // The first request parks in the batch fan-out, before it completes, so
-  // it keeps its admission slot while the rest of the burst arrives.
+  // The first batch parks in its fan-out, before it completes, so every
+  // admitted request keeps its slot while the rest of the burst arrives.
   testing::WorkerGate gate;
   ServerOptions options;
-  options.max_inflight_requests = 1;
   options.batcher.fan_out_hook_for_test = [&gate](size_t) { gate.HoldOnce(); };
   auto server_or = NetServer::Start(LoadSession(path, &chain, config), options);
   ASSERT_TRUE(server_or.ok());
@@ -400,16 +399,18 @@ TEST(NetServerTest, AdmissionControlFastFailsPastTheInflightBound) {
   ASSERT_TRUE(client_or.ok());
   NetClient& client = **client_or;
 
-  constexpr int kBurst = 8;
-  for (uint64_t id = 1; id <= kBurst; ++id) {
+  constexpr int64_t kBound = NetServer::kMaxInflightRequests;
+  constexpr int64_t kExcess = 7;
+  for (uint64_t id = 1; id <= kBound + kExcess; ++id) {
     ASSERT_TRUE(client.Send(EmbedRequest(id, {1})).ok());
   }
-  int ok = 0;
-  int rejected = 0;
-  for (int i = 0; i < kBurst; ++i) {
-    // Every later request is shed while the slot is held; then the first
-    // one is released and served.
-    if (i == kBurst - 1) gate.Open();
+  int64_t ok = 0;
+  int64_t rejected = 0;
+  for (int64_t i = 0; i < kBound + kExcess; ++i) {
+    // The excess is shed while every slot is held, so its rejections are
+    // the first answers; then the held batch is released and every
+    // admitted request is served.
+    if (i == kExcess) gate.Open();
     NetResponse response;
     ASSERT_TRUE(client.Receive(&response).ok());
     if (response.code == StatusCode::kOk) {
@@ -419,9 +420,74 @@ TEST(NetServerTest, AdmissionControlFastFailsPastTheInflightBound) {
       ++rejected;
     }
   }
-  EXPECT_EQ(ok, 1);
-  EXPECT_EQ(rejected, kBurst - 1);
+  EXPECT_EQ(ok, kBound);
+  EXPECT_EQ(rejected, kExcess);
   EXPECT_EQ((*server_or)->stats().overload_rejections, rejected);
+}
+
+TEST(NetServerTest, DrainForceClosesIdleClientsAfterTheGracePeriod) {
+  graph::HeteroGraph chain = ChainGraph(10, 6);
+  const core::WidenConfig config = SmallConfig();
+  const std::string path =
+      WriteColdCheckpoint(chain, config, "net_grace.wdnt");
+  auto server_or =
+      NetServer::Start(LoadSession(path, &chain, config), ServerOptions());
+  ASSERT_TRUE(server_or.ok());
+  NetServer& server = **server_or;
+
+  auto client_or = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client_or.ok());
+  NetClient& client = **client_or;
+  auto before = client.Call(EmbedRequest(1, {1}));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->code, StatusCode::kOk) << before->error;
+  EXPECT_FALSE(before->draining);
+
+  const auto drain_start = std::chrono::steady_clock::now();
+  server.SignalDrain();
+  // A connection open before the drain is still served, and told to wind
+  // down.
+  auto during = client.Call(EmbedRequest(2, {2}));
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_EQ(during->code, StatusCode::kOk) << during->error;
+  EXPECT_TRUE(during->draining);
+
+  // The client ignores the flag and stays connected, so only the grace
+  // period ends the drain.
+  server.Join();
+  const auto waited = std::chrono::steady_clock::now() - drain_start;
+  EXPECT_GE(waited, NetServer::kDrainGrace);
+  EXPECT_LT(waited, NetServer::kDrainGrace + std::chrono::seconds(3));
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.requests, 2);
+  EXPECT_EQ(stats.responses, stats.requests);
+  // The force-close reaches the client as end-of-stream, not a reset.
+  NetResponse after;
+  const Status eof = client.Receive(&after);
+  EXPECT_EQ(eof.code(), StatusCode::kIOError);
+  EXPECT_NE(eof.message().find("closed by server"), std::string::npos)
+      << eof.ToString();
+}
+
+TEST(NetServerTest, RejectsPortsOutsideTheTcpRange) {
+  graph::HeteroGraph chain = ChainGraph(10, 6);
+  const core::WidenConfig config = SmallConfig();
+  const auto session = LoadSession(
+      WriteColdCheckpoint(chain, config, "net_port.wdnt"), &chain, config);
+  // A port past 16 bits must not wrap: 65536 would otherwise bind an
+  // ephemeral port and 70000 port 4464.
+  for (const int port : {-1, 65536, 70000}) {
+    ServerOptions options;
+    options.port = port;
+    auto server = NetServer::Start(session, options);
+    ASSERT_FALSE(server.ok()) << "port " << port;
+    EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+
+    auto client = NetClient::Connect("127.0.0.1", port);
+    ASSERT_FALSE(client.ok()) << "port " << port;
+    EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(NetServerTest, WireDeadlineExpiresTypedInTheQueue) {

@@ -22,6 +22,7 @@
 #include "storage/shard_format.h"
 #include "storage/shard_writer.h"
 #include "storage/sharded_graph.h"
+#include "util/file_util.h"
 #include "util/random.h"
 
 namespace widen::storage {
@@ -418,6 +419,98 @@ TEST(ShardStoreCorruptionTest, StructuralValidationNeverCrashes) {
   }
   WriteFileBytes(path, intact);
   ASSERT_TRUE(ShardedGraph::Open(dir, open_options).ok());
+}
+
+// Writes an edgeless store under `manifest` (its resolver and shard count
+// set by the caller): shard s holds the next sizes[s] consecutive ids.
+void WriteEdgelessStore(const std::string& dir,
+                        const std::vector<int64_t>& sizes, Manifest manifest) {
+  constexpr int64_t kFeatureDim = 2;
+  WIDEN_CHECK_OK(EnsureDirectory(dir));
+  const std::vector<float> features(kFeatureDim, 0.5f);
+  graph::NodeId next = 0;
+  for (size_t s = 0; s < sizes.size(); ++s) {
+    ShardFileWriter writer(static_cast<int32_t>(s), manifest.num_shards,
+                           kFeatureDim, /*has_labels=*/false);
+    for (int64_t i = 0; i < sizes[s]; ++i) {
+      writer.AddNode(next++, /*node_type=*/0, /*label=*/0, nullptr, nullptr,
+                     /*degree=*/0, features.data());
+    }
+    const std::string path = dir + "/" + ShardFileName(static_cast<int32_t>(s));
+    WIDEN_CHECK_OK(
+        writer.Finish(path, [](graph::NodeId) { return 0; }).status());
+  }
+  manifest.num_nodes = next;
+  manifest.num_half_edges = 0;
+  manifest.feature_dim = kFeatureDim;
+  manifest.schema = graph::GraphSchema();
+  manifest.schema.AddNodeType("v");
+  WIDEN_CHECK_OK(WriteManifestFile(dir, manifest));
+}
+
+// Open's verdict on `dir`, with the checksum pass on and off.
+std::vector<Status> OpenBothWays(const std::string& dir) {
+  std::vector<Status> verdicts;
+  for (const bool verify : {true, false}) {
+    ShardedGraphOptions options;
+    options.verify_checksums = verify;
+    verdicts.push_back(ShardedGraph::Open(dir, options).status());
+  }
+  return verdicts;
+}
+
+// Locate() trusts the resolver's local index, so a shard whose node count
+// disagrees with it would be read past its arrays.
+TEST(ShardStoreCorruptionTest, ShardSizesMustMatchUniformBlocks) {
+  Manifest manifest;
+  manifest.num_shards = 2;
+  manifest.partition_kind = PartitionKind::kUniformBlocks;
+  manifest.block_size = 4;
+
+  const std::string good = TempDir("uniform_4_4");
+  WriteEdgelessStore(good, {4, 4}, manifest);
+  for (const Status& status : OpenBothWays(good)) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+  // Same totals, wrong split: Locate(3) would say local 3 of a 3-node shard.
+  const std::string bad = TempDir("uniform_3_5");
+  WriteEdgelessStore(bad, {3, 5}, manifest);
+  for (const Status& status : OpenBothWays(bad)) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+}
+
+TEST(ShardStoreCorruptionTest, ShardSizesMustMatchExplicitMap) {
+  Manifest manifest;
+  manifest.num_shards = 2;
+  manifest.partition_kind = PartitionKind::kExplicitMap;
+  manifest.shard_of = {0, 0, 0, 1, 1, 1, 1, 1};
+  manifest.local_of = {0, 1, 2, 0, 1, 2, 3, 4};
+
+  const std::string good = TempDir("explicit_3_5");
+  WriteEdgelessStore(good, {3, 5}, manifest);
+  for (const Status& status : OpenBothWays(good)) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+  // The map puts 3 nodes in shard 0, the files 4.
+  const std::string split = TempDir("explicit_4_4");
+  WriteEdgelessStore(split, {4, 4}, manifest);
+  for (const Status& status : OpenBothWays(split)) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+
+  // Counts agree, but node 2's local index is past its 3-node shard.
+  manifest.local_of[2] = 3;
+  const std::string past = TempDir("explicit_local_past_end");
+  WriteEdgelessStore(past, {3, 5}, manifest);
+  for (const Status& status : OpenBothWays(past)) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
 }
 
 TEST(MappedFileTest, OpensEvictsAndReportsResidency) {
